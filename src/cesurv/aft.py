@@ -23,6 +23,11 @@ _GRAD_TOL = 1e-8
 _MAX_ITER = 200
 _MAX_HALVINGS = 40
 _LOG_SIGMA_FLOOR = -5.0
+# Largest change of log sigma tried in one Newton step (sigma moves by at
+# most a factor e**5).  Far from the optimum Newton can propose log-sigma
+# steps of several hundred, whose trial sigma underflows to zero; accepted
+# steps on the simulations and bundled tables move log sigma by under 2.
+_MAX_LOG_SIGMA_STEP = 5.0
 
 
 @dataclass(frozen=True)
@@ -165,8 +170,12 @@ def fit(ds: SurvivalDataset, included) -> AFTModel:
                 "could not build an ascent direction",
                 iterations=iterations, gradient_norm=gnorm,
             )
-        # Step halving keeps the likelihood non-decreasing.
+        # Step halving keeps the likelihood non-decreasing.  It starts from
+        # the longest step on the halving grid whose log-sigma move is in
+        # bound, so an in-bound trial is the same point as without a bound.
         t = 1.0
+        while abs(t * step[-1]) > _MAX_LOG_SIGMA_STEP:
+            t *= 0.5
         accepted = False
         for _ in range(_MAX_HALVINGS):
             cand = params + t * step
@@ -197,12 +206,17 @@ def fit(ds: SurvivalDataset, included) -> AFTModel:
     )
 
 
-def predict_median(model: AFTModel, x) -> float:
-    """Median of the fitted conditional Weibull: exp(eta) * ln(2)**sigma."""
+def predict_median(model: AFTModel, x):
+    """Median of the fitted conditional Weibull: exp(eta) * ln(2)**sigma.
+
+    ``x`` is one row of covariate values (returns a float) or an (n, d)
+    matrix with one row per subject (returns an array of n medians).
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape != (len(model.included),):
+    d = len(model.included)
+    if x.ndim not in (1, 2) or x.shape[-1] != d:
         raise InvalidInputError(
-            f"expected {len(model.included)} covariate values, got shape {x.shape}"
+            f"expected {d} covariate values per row, got shape {x.shape}"
         )
-    eta = model.intercept + float(x @ model.coefficients)
-    return math.exp(eta) * math.log(2.0) ** model.scale
+    medians = np.exp(model.intercept + x @ model.coefficients) * math.log(2.0) ** model.scale
+    return float(medians) if x.ndim == 1 else medians

@@ -161,7 +161,7 @@ def _cmd_evaluate(args):
         final_gradient_norm=payload["final_gradient_norm"],
     )
     cols = [ds.names.index(n) for n in model.included]
-    pred = np.array([predict_median(model, row) for row in ds.covariates[:, cols]])
+    pred = predict_median(model, ds.covariates[:, cols])
     mae_val, n_events = mae(pred, ds.time, ds.status)
     c_val, n_pairs = c_index(pred, ds.time, ds.status)
     report = EvalReport(

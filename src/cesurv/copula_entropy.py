@@ -36,11 +36,6 @@ __all__ = [
 # duplicates surviving the tie jitter are floored here before the log.
 _EPS_FLOOR = 1e-12
 
-# Brute-force all-pairs search below this many rows, kd-tree above.  The two
-# paths are bit-identical (verified in the test suite), so the cutoff only
-# affects speed.
-_TREE_CUTOFF = 512
-
 _NORMS = ("max", "euclidean")
 
 
@@ -73,6 +68,8 @@ class EstimatorConfig:
             raise InvalidInputError(f"norm must be one of {_NORMS}, got {self.norm!r}")
         if self.tie_jitter < 0:
             raise InvalidInputError(f"tie_jitter must be >= 0, got {self.tie_jitter}")
+        if self.jitter_seed < 0:
+            raise InvalidInputError(f"jitter_seed must be >= 0, got {self.jitter_seed}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -174,34 +171,12 @@ def empirical_copula(x, cfg: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
     return ranks / float(n)
 
 
-def _kth_nn_distance_brute(u: np.ndarray, k: int, norm: str) -> np.ndarray:
-    """Distance from each row to its k-th nearest other row, all pairs."""
-    n = u.shape[0]
-    out = np.empty(n)
-    chunk = max(1, int(2e7) // max(n, 1))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        diff = u[start:stop, None, :] - u[None, :, :]
-        if norm == "max":
-            dist = np.abs(diff).max(axis=2)
-        else:
-            dist = np.sqrt((diff * diff).sum(axis=2))
-        dist[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        out[start:stop] = np.partition(dist, k - 1, axis=1)[:, k - 1]
-    return out
-
-
-def _kth_nn_distance_tree(u: np.ndarray, k: int, norm: str) -> np.ndarray:
+def _kth_nn_distance(u: np.ndarray, k: int, norm: str) -> np.ndarray:
+    """Distance from each row to its k-th nearest other row, by kd-tree."""
     p = np.inf if norm == "max" else 2
     tree = cKDTree(u)
     dist, _ = tree.query(u, k=k + 1, p=p)
     return dist[:, k]
-
-
-def _kth_nn_distance(u: np.ndarray, k: int, norm: str) -> np.ndarray:
-    if u.shape[0] <= _TREE_CUTOFF:
-        return _kth_nn_distance_brute(u, k, norm)
-    return _kth_nn_distance_tree(u, k, norm)
 
 
 def _log_unit_diameter_ball_volume(d: int, norm: str) -> float:

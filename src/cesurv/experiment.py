@@ -167,8 +167,7 @@ def run_experiment(
     with _stage("evaluate"):
         for label, model in models:
             cols = [ds.names.index(n) for n in model.included]
-            x = ds.covariates[:, cols]
-            pred = np.array([predict_median(model, row) for row in x])
+            pred = predict_median(model, ds.covariates[:, cols])
             mae_val, n_events = mae(pred, ds.time, ds.status)
             c_val, n_pairs = c_index(pred, ds.time, ds.status)
             evaluations.append(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,15 @@ class TestFit:
         ds = weibull_sample(50, 0.0, 1.0, seed=0)
         with pytest.raises(InvalidInputError):
             fit(ds, ["ghost"])
+
+    def test_no_floating_point_warning_on_large_simulation(self):
+        # Newton's first step proposes log sigma of about -936 here; the
+        # trial sigma must not underflow to zero.
+        ds = simulate(SimConfig(seed=1, n_subjects=10000))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = fit(ds, ds.names)
+        assert m.converged and abs(m.scale - 0.5) < 0.05
 
     def test_location_equivariance(self):
         ds = simulate(SimConfig(seed=8, n_subjects=500))
@@ -157,3 +167,20 @@ class TestPredictMedian:
         m = AFTModel(0.0, np.array([1.0]), 0.0, ["a"], True, 0, 0.0)
         with pytest.raises(InvalidInputError):
             predict_median(m, np.array([1.0, 2.0]))
+
+    def test_matrix_matches_rows(self):
+        rng = np.random.default_rng(12)
+        m = AFTModel(0.4, np.array([0.8, -0.3, 0.05]), math.log(0.6),
+                     ["a", "b", "c"], True, 0, 0.0)
+        x = rng.normal(size=(200, 3)) * [1.0, 5.0, 100.0]
+        batch = predict_median(m, x)
+        rows = np.array([predict_median(m, row) for row in x])
+        assert batch.shape == (200,)
+        np.testing.assert_allclose(batch, rows, rtol=1e-12, atol=0.0)
+        assert isinstance(predict_median(m, x[0]), float)
+
+    def test_matrix_width_mismatch(self):
+        m = AFTModel(0.0, np.array([1.0, 2.0]), 0.0, ["a", "b"], True, 0, 0.0)
+        for bad in (np.zeros((4, 3)), np.zeros((4, 1)), np.zeros((2, 2, 2))):
+            with pytest.raises(InvalidInputError):
+                predict_median(m, bad)

@@ -49,6 +49,9 @@ class TestSelectCommand:
         names = {e["name"] for e in json.loads(out.read_text())["ranking"]["entries"]}
         assert names == {"trt", "celltype", "karno", "diagtime", "age", "prior"}
 
+    def test_negative_seed_exit_2(self):
+        assert run("select", "--bundled", "veteran", "--seed", "-1") == 2
+
     def test_missing_file_exit_2(self):
         assert run("select", "--data", "no-such-file.csv") == 2
 

@@ -6,8 +6,7 @@ from scipy.special import digamma as scipy_digamma
 
 from cesurv.copula_entropy import (
     EstimatorConfig,
-    _kth_nn_distance_brute,
-    _kth_nn_distance_tree,
+    _kth_nn_distance,
     as_sample_matrix,
     copula_entropy,
     digamma,
@@ -18,6 +17,26 @@ from cesurv.errors import InvalidInputError
 from cesurv.survsim import SimConfig, simulate
 
 CFG = EstimatorConfig()
+
+
+def kth_nn_distance_brute(u, k, norm):
+    """Distance from each row to its k-th nearest other row, all pairs.
+
+    The reference the kd-tree search is compared against.
+    """
+    n = u.shape[0]
+    out = np.empty(n)
+    chunk = max(1, int(2e7) // max(n, 1))
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        diff = u[start:stop, None, :] - u[None, :, :]
+        if norm == "max":
+            dist = np.abs(diff).max(axis=2)
+        else:
+            dist = np.sqrt((diff * diff).sum(axis=2))
+        dist[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        out[start:stop] = np.partition(dist, k - 1, axis=1)[:, k - 1]
+    return out
 NULL_SEEDS = tuple(range(100, 110))
 
 
@@ -137,8 +156,8 @@ class TestNeighborSearch:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             u = empirical_copula(rng.random((200, 3)), CFG)
-            brute = _kth_nn_distance_brute(u, 3, norm)
-            tree = _kth_nn_distance_tree(u, 3, norm)
+            brute = kth_nn_distance_brute(u, 3, norm)
+            tree = _kth_nn_distance(u, 3, norm)
             np.testing.assert_array_equal(brute, tree)
 
     def test_duplicate_points_hit_distance_floor(self):
@@ -265,3 +284,7 @@ class TestEstimatorConfig:
     def test_rejects_negative_jitter(self):
         with pytest.raises(InvalidInputError):
             EstimatorConfig(tie_jitter=-1e-3)
+
+    def test_rejects_negative_jitter_seed(self):
+        with pytest.raises(InvalidInputError):
+            EstimatorConfig(jitter_seed=-1)

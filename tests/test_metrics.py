@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,42 @@ class TestCIndex:
             got = c_index(pred, time, status)
             want = c_index_bruteforce(pred, time, status)
             assert got == want
+
+    @pytest.mark.parametrize("case", ["discrete_pred", "capped_time", "single_event", "large"])
+    def test_matches_bruteforce_on_heavy_ties(self, case):
+        rng = np.random.default_rng({"discrete_pred": 1, "capped_time": 2,
+                                     "single_event": 3, "large": 4}[case])
+        n = 2000 if case == "large" else 300
+        time = np.round(rng.exponential(2.0, size=n), 1) + 0.1
+        status = rng.integers(0, 2, size=n)
+        pred = np.round(rng.normal(size=n), 2)
+        if case == "discrete_pred":
+            pred = rng.integers(0, 3, size=n).astype(float)
+        elif case == "capped_time":
+            capped = time >= 1.5  # administrative follow-up cap
+            time[capped], status[capped] = 1.5, 0
+        elif case == "single_event":
+            status[:] = 0
+            status[int(np.argmin(time))] = 1
+        elif case == "large":
+            pred = rng.integers(0, 40, size=n).astype(float)
+        assert c_index(pred, time, status) == c_index_bruteforce(pred, time, status)
+
+    def test_memory_linear_at_1e5_rows(self):
+        # Dense pairwise matrices would need about 30 GB at this size.
+        rng = np.random.default_rng(10)
+        n = 100_000
+        time = rng.exponential(1.0, size=n)
+        status = rng.integers(0, 2, size=n)
+        pred = np.round(time + rng.normal(size=n), 2)
+        tracemalloc.start()
+        try:
+            c, pairs = c_index(pred, time, status)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert 0.5 < c < 1.0 and pairs > n
 
     def test_invariant_under_increasing_transform(self):
         rng = np.random.default_rng(7)
