@@ -4,12 +4,22 @@ Files are delimiter-separated text with a header row, '.' decimals and the
 missing-value tokens "" and "NA".  Text-valued covariate columns are mapped
 to integer codes in order of first appearance; the mapping travels with the
 dataset so reports can document it.
+
+Loading makes one pass over the file: ``csv.reader`` streams the decoded
+text while the raw bytes feed the sha256 digest, and the rows are
+transposed once into per-column token lists, each token stripped once.
+Each used column is then parsed once, with Python ``float`` semantics, into
+a float64 array; only a column that fails to parse is scanned token by
+token, to name the offending line.  Saving formats blocks of rows column by
+column with the same rule as a per-value loop, so the bytes are unchanged.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
+import itertools
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -111,28 +121,67 @@ def _parse_float(token: str):
         return None
 
 
+class _Sha256Reader(io.RawIOBase):
+    """Binary file reader that hashes the bytes as they stream past."""
+
+    def __init__(self, raw):
+        self._raw = raw
+        self.sha256 = hashlib.sha256()
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        n = self._raw.readinto(buf)
+        self.sha256.update(memoryview(buf)[:n])
+        return n
+
+
 def _read_table(path) -> tuple:
+    """Header, line numbers, stripped per-column tokens and sha256 of a file.
+
+    One streaming pass: csv.reader reads the decoded file while the raw
+    bytes feed the digest.  Blank lines are skipped; line numbers count
+    csv records, the header being line 1.
+    """
     p = Path(path)
     if not p.is_file():
         raise DatasetLoadError(f"dataset file not found: {p}")
-    text = p.read_text(encoding="utf-8")
-    header_line = text.splitlines()[0] if text else ""
-    delim = max(_DELIMITERS, key=header_line.count)
-    if header_line.count(delim) == 0:
-        raise DatasetLoadError(f"{p}: could not find a delimiter in the header row")
-    reader = csv.reader(text.splitlines(), delimiter=delim)
-    rows = list(reader)
-    header = rows[0]
+    with open(p, "rb") as raw:
+        hashing = _Sha256Reader(raw)
+        text = io.TextIOWrapper(io.BufferedReader(hashing), encoding="utf-8", newline="")
+        header_line = text.readline()
+        delim = max(_DELIMITERS, key=header_line.count)
+        if header_line.count(delim) == 0:
+            raise DatasetLoadError(f"{p}: could not find a delimiter in the header row")
+        reader = csv.reader(itertools.chain([header_line], text), delimiter=delim)
+        header = next(reader)
+        rows = list(reader)
+        sha = hashing.sha256.hexdigest()
     if len(set(header)) != len(header):
         raise DatasetLoadError(f"{p}: duplicate column names in header")
-    body = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise DatasetLoadError(f"{p}: line {lineno} has {len(row)} fields, expected {len(header)}")
-        body.append((lineno, [t.strip() for t in row]))
-    return header, body
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    wrong = np.flatnonzero((lengths != len(header)) & (lengths != 0))
+    if wrong.size:
+        i = wrong[0]
+        raise DatasetLoadError(f"{p}: line {i + 2} has {lengths[i]} fields, expected {len(header)}")
+    records = np.flatnonzero(lengths)
+    if records.size < len(rows):
+        rows = [rows[i] for i in records]
+    columns = [list(map(str.strip, col)) for col in zip(*rows)] or [[] for _ in header]
+    return header, records + 2, columns, sha
+
+
+def _floats(tokens) -> np.ndarray:
+    """Tokens as float64 with Python ``float`` semantics; ValueError if any fails."""
+    return np.array(list(map(float, tokens)), dtype=float)
+
+
+def _missing_mask(tokens):
+    """True where a token is missing; None when the column has no missing token."""
+    if all(m not in tokens for m in _MISSING_TOKENS):
+        return None
+    return np.fromiter((t in _MISSING_TOKENS for t in tokens), dtype=bool, count=len(tokens))
 
 
 def load_dataset(spec: DatasetSpec) -> SurvivalDataset:
@@ -142,98 +191,130 @@ def load_dataset(spec: DatasetSpec) -> SurvivalDataset:
     Text covariates become integer codes by first appearance; the mapping,
     drop count and file hash are recorded in ``dataset.attrs``.
     """
-    header, body = _read_table(spec.path)
-    col_of = {name: i for i, name in enumerate(header)}
+    header, linenos, columns, sha = _read_table(spec.path)
+    tokens_of = dict(zip(header, columns))
     for col in (spec.time_col, spec.status_col, *(spec.covariate_cols or ()), *spec.na_screen_cols):
-        if col not in col_of:
+        if col not in tokens_of:
             raise DatasetLoadError(f"{spec.path}: required column {col!r} not in header {header}")
+    n_raw = len(linenos)
+    missing = {col: _missing_mask(tokens) for col, tokens in tokens_of.items()}
 
+    # Columns parsed while choosing the default covariates, over all raw rows
+    # (NaN where missing), so that no column is parsed twice.
+    parsed = {}
     if spec.covariate_cols is None:
         # Default: every remaining column whose non-missing values all parse
         # as numbers.
-        rest = [c for c in header if c not in (spec.time_col, spec.status_col)]
-        covariates = tuple(
-            c for c in rest
-            if all(_parse_float(r[col_of[c]]) is not None
-                   for _, r in body if r[col_of[c]] not in _MISSING_TOKENS)
-        )
+        for col in header:
+            if col in (spec.time_col, spec.status_col):
+                continue
+            mask = missing[col]
+            present = tokens_of[col] if mask is None else itertools.compress(tokens_of[col], (~mask).tolist())
+            try:
+                values = _floats(present)
+            except ValueError:
+                continue
+            if mask is not None:
+                values, present = np.full(n_raw, np.nan), values
+                values[~mask] = present
+            parsed[col] = values
+        covariates = tuple(parsed)
     else:
         covariates = spec.covariate_cols
 
     screen = [spec.time_col, spec.status_col, *covariates, *spec.na_screen_cols]
-    kept = [
-        (lineno, row) for lineno, row in body
-        if all(row[col_of[c]] not in _MISSING_TOKENS for c in screen)
-    ]
-    n_dropped = len(body) - len(kept)
-    if not kept:
+    dropped = np.zeros(n_raw, dtype=bool)
+    for col in screen:
+        if missing[col] is not None:
+            dropped |= missing[col]
+    kept = np.flatnonzero(~dropped)
+    n_kept = kept.size
+    if n_kept == 0:
         raise DatasetLoadError(f"{spec.path}: no rows left after dropping missing values")
+    all_kept = n_kept == n_raw
 
-    def numeric_column(col):
-        out = np.empty(len(kept))
-        for i, (lineno, row) in enumerate(kept):
-            v = _parse_float(row[col_of[col]])
-            if v is None:
-                raise DatasetLoadError(
-                    f"{spec.path}: line {lineno}, column {col!r}: "
-                    f"cannot parse {row[col_of[col]]!r} as a number"
-                )
-            out[i] = v
-        return out
+    def kept_tokens(col):
+        tokens = tokens_of[col]
+        return tokens if all_kept else [tokens[i] for i in kept.tolist()]
 
-    time = numeric_column(spec.time_col)
+    def kept_values(col):
+        """The column's kept rows as numbers, or None if one is not a number."""
+        if col in parsed:
+            return parsed[col] if all_kept else parsed[col][kept]
+        try:
+            return _floats(kept_tokens(col))
+        except ValueError:
+            return None
+
+    time = kept_values(spec.time_col)
+    if time is None:
+        tokens = kept_tokens(spec.time_col)
+        i = next(i for i, t in enumerate(tokens) if _parse_float(t) is None)
+        raise DatasetLoadError(
+            f"{spec.path}: line {linenos[kept[i]]}, column {spec.time_col!r}: "
+            f"cannot parse {tokens[i]!r} as a number"
+        )
     bad = np.nonzero(time <= 0)[0]
     if bad.size:
-        lineno = kept[bad[0]][0]
+        lineno = linenos[kept[bad[0]]]
         raise DatasetLoadError(
             f"{spec.path}: line {lineno}, column {spec.time_col!r}: time must be positive"
         )
 
     event_num = _parse_float(str(spec.status_event_value))
-    status = np.empty(len(kept), dtype=int)
-    for i, (_, row) in enumerate(kept):
-        tok = row[col_of[spec.status_col]]
-        num = _parse_float(tok)
-        if num is not None and event_num is not None:
-            status[i] = 1 if num == event_num else 0
-        else:
-            status[i] = 1 if tok == str(spec.status_event_value) else 0
+    values = kept_values(spec.status_col) if event_num is not None else None
+    if values is not None:
+        status = (values == event_num).astype(int)
+    else:
+        status = np.empty(n_kept, dtype=int)
+        for i, tok in enumerate(kept_tokens(spec.status_col)):
+            num = _parse_float(tok)
+            if num is not None and event_num is not None:
+                status[i] = 1 if num == event_num else 0
+            else:
+                status[i] = 1 if tok == str(spec.status_event_value) else 0
 
-    matrix = np.empty((len(kept), len(covariates)))
+    matrix = np.empty((n_kept, len(covariates)))
     categorical_maps = {}
     for j, col in enumerate(covariates):
-        tokens = [row[col_of[col]] for _, row in kept]
-        if all(_parse_float(t) is not None for t in tokens):
-            matrix[:, j] = numeric_column(col)
+        values = kept_values(col)
+        if values is not None:
+            matrix[:, j] = values
         else:
-            codes = {}
-            for t in tokens:
-                if t not in codes:
-                    codes[t] = len(codes) + 1
+            tokens = kept_tokens(col)
+            codes = {t: code for code, t in enumerate(dict.fromkeys(tokens), start=1)}
             matrix[:, j] = [codes[t] for t in tokens]
             categorical_maps[col] = codes
 
-    sha = hashlib.sha256(Path(spec.path).read_bytes()).hexdigest()
     attrs = {
         "source_path": str(spec.path),
         "source_sha256": sha,
-        "n_raw_rows": len(body),
-        "n_dropped_rows": n_dropped,
+        "n_raw_rows": n_raw,
+        "n_dropped_rows": n_raw - n_kept,
         "categorical_maps": categorical_maps,
         "status_event_value": spec.status_event_value,
     }
     return SurvivalDataset(matrix, time, status, list(covariates), attrs=attrs)
 
 
+# Rows formatted per block when saving: formatting a whole table at once
+# holds every token of it in memory.
+_SAVE_BLOCK_ROWS = 8192
+
+
+def _format_floats(values) -> list:
+    """Integral values without a decimal point, others as their shortest repr."""
+    return [str(int(v)) if v.is_integer() else repr(v) for v in values.tolist()]
+
+
 def save_dataset(ds: SurvivalDataset, path, delimiter: str = ",") -> None:
     """Write a dataset as delimited text that round-trips through load."""
-    def fmt(v: float) -> str:
-        return str(int(v)) if float(v).is_integer() else repr(float(v))
-
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
         writer.writerow([*ds.names, "time", "status"])
-        for i in range(ds.n_rows):
-            writer.writerow(
-                [fmt(v) for v in ds.covariates[i]] + [fmt(ds.time[i]), str(int(ds.status[i]))]
-            )
+        for start in range(0, ds.n_rows, _SAVE_BLOCK_ROWS):
+            block = slice(start, start + _SAVE_BLOCK_ROWS)
+            columns = [_format_floats(col) for col in ds.covariates[block].T]
+            columns.append(_format_floats(ds.time[block]))
+            columns.append(list(map(str, ds.status[block].tolist())))
+            writer.writerows(zip(*columns))

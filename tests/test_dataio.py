@@ -1,8 +1,68 @@
+import csv
+
 import numpy as np
 import pytest
 
 from cesurv.dataio import DatasetSpec, bundled_dataset_spec, load_dataset, save_dataset
 from cesurv.errors import DatasetLoadError, InvalidInputError
+from cesurv.survsim import SurvivalDataset
+
+
+def save_per_row(ds, path, delimiter=","):
+    """Reference writer: one row at a time, one value at a time."""
+    def fmt(v):
+        return str(int(v)) if float(v).is_integer() else repr(float(v))
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer.writerow([*ds.names, "time", "status"])
+        for i in range(ds.n_rows):
+            writer.writerow(
+                [fmt(v) for v in ds.covariates[i]] + [fmt(ds.time[i]), str(int(ds.status[i]))]
+            )
+
+
+def load_per_token(spec):
+    """Reference loader: (covariates, time, status, names, categorical maps,
+    raw rows, dropped rows), parsing every token on its own."""
+    def num(t):
+        try:
+            return float(t)
+        except ValueError:
+            return None
+
+    with open(spec.path, encoding="utf-8", newline="") as fh:
+        first = fh.readline()
+        fh.seek(0)
+        delim = max(",\t;", key=first.count)
+        rows = [[t.strip() for t in r] for r in csv.reader(fh, delimiter=delim) if r]
+    header, body = rows[0], rows[1:]
+    col = {name: [r[i] for r in body] for i, name in enumerate(header)}
+    names = spec.covariate_cols or tuple(
+        c for c in header
+        if c not in (spec.time_col, spec.status_col)
+        and all(num(t) is not None for t in col[c] if t not in ("", "NA"))
+    )
+    screen = [spec.time_col, spec.status_col, *names, *spec.na_screen_cols]
+    kept = [i for i in range(len(body)) if all(col[c][i] not in ("", "NA") for c in screen)]
+    event = str(spec.status_event_value)
+    status = [
+        int(num(t) == num(event)) if num(t) is not None and num(event) is not None else int(t == event)
+        for t in (col[spec.status_col][i] for i in kept)
+    ]
+    covariates, maps = [], {}
+    for c in names:
+        tokens = [col[c][i] for i in kept]
+        if all(num(t) is not None for t in tokens):
+            covariates.append([num(t) for t in tokens])
+        else:
+            maps[c] = {}
+            for t in tokens:
+                maps[c].setdefault(t, len(maps[c]) + 1)
+            covariates.append([maps[c][t] for t in tokens])
+    time = [num(col[spec.time_col][i]) for i in kept]
+    return (np.array(covariates, dtype=float).T.reshape(len(kept), len(names)), np.array(time),
+            np.array(status), list(names), maps, len(body), len(body) - len(kept))
 
 
 class TestBundledData:
@@ -132,3 +192,127 @@ class TestRoundTrip:
         back = load_dataset(DatasetSpec(path=out))
         np.testing.assert_array_equal(back.covariates, ds.covariates)
         np.testing.assert_array_equal(back.time, ds.time)
+
+
+class TestColumnarIO:
+    """The block-wise writer and the columnar reader against per-value references."""
+
+    SPECIAL = (-0.0, 1e20, 2.0**53 + 2, 5e-324, 1e300, -1e300, 1e-300, -1e-300, 0.1, -7.0, 1 / 3)
+
+    def special_dataset(self, n):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((n, 3))
+        x[:, 1] = np.round(x[:, 1] * 4)
+        x[:, 2] = rng.choice(self.SPECIAL, n)
+        # Specials also at the start and across the first block boundary.
+        for start in (0, 8190):
+            stop = min(start + len(self.SPECIAL), n)
+            x[start:stop, 0] = self.SPECIAL[: max(stop - start, 0)]
+        time = rng.choice((5e-324, 1e-300, 1.0, 2.0**53 + 2, 1e20, 2.5), n)
+        return SurvivalDataset(x, time, rng.integers(0, 2, n), ["a", "b,c", 'd"e'])
+
+    @pytest.mark.parametrize("n", [1, 8192, 20000])
+    def test_save_bytes_match_per_row_writer(self, tmp_path, n):
+        ds = self.special_dataset(n)
+        save_dataset(ds, tmp_path / "block.csv")
+        save_per_row(ds, tmp_path / "row.csv")
+        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
+
+    def test_save_tab_delimiter_matches_per_row_writer(self, tmp_path):
+        ds = self.special_dataset(100)
+        save_dataset(ds, tmp_path / "block.tsv", delimiter="\t")
+        save_per_row(ds, tmp_path / "row.tsv", delimiter="\t")
+        assert (tmp_path / "block.tsv").read_bytes() == (tmp_path / "row.tsv").read_bytes()
+
+    def test_special_values_round_trip(self, tmp_path):
+        ds = self.special_dataset(20000)
+        save_dataset(ds, tmp_path / "rt.csv")
+        back = load_dataset(DatasetSpec(path=tmp_path / "rt.csv"))
+        assert back.names == ds.names
+        np.testing.assert_array_equal(back.covariates, ds.covariates)
+        np.testing.assert_array_equal(back.time, ds.time)
+        np.testing.assert_array_equal(back.status, ds.status)
+
+    @staticmethod
+    def messy_table(n, delim):
+        rng = np.random.default_rng(11)
+        lines = [delim.join(["time", "status", "a", "b", "grp", "note", "extra"])]
+        for i in range(n):
+            a = repr(float(rng.standard_normal()))
+            b = str(int(rng.integers(0, 4)))
+            if i > n - 40 and i % 3 == 0:
+                a = "NA"
+            if i > n - 40 and i % 5 == 1:
+                b = ""
+            extra = "NA" if i == n - 2 else str(i)
+            status = ("dead", "alive")[i % 2]
+            lines.append(delim.join([
+                f"  {1 + i % 17}.5 ", status, f" {a}", f"{b}  ", ("lo", "hi", "mid")[i % 3],
+                f"w{i}", extra,
+            ]))
+            if i == n // 2:
+                lines.append("")  # a blank line is skipped but still counted
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("delim", [",", "\t"])
+    @pytest.mark.parametrize("spec_args", [
+        dict(status_event_value="dead"),
+        dict(status_event_value="dead", covariate_cols=("grp", "a", "b"), na_screen_cols=("extra",)),
+        dict(status_event_value="alive", covariate_cols=("note",)),
+    ])
+    def test_load_matches_per_token_parse(self, tmp_path, delim, spec_args):
+        p = tmp_path / "messy.csv"
+        p.write_text(self.messy_table(300, delim), encoding="utf-8")
+        spec = DatasetSpec(path=p, **spec_args)
+        ds = load_dataset(spec)
+        x, time, status, names, maps, n_raw, n_dropped = load_per_token(spec)
+        assert ds.names == names
+        np.testing.assert_array_equal(ds.covariates, x)
+        np.testing.assert_array_equal(ds.time, time)
+        np.testing.assert_array_equal(ds.status, status)
+        assert ds.attrs["categorical_maps"] == maps
+        assert (ds.attrs["n_raw_rows"], ds.attrs["n_dropped_rows"]) == (n_raw, n_dropped)
+        assert n_dropped > 0 or "covariate_cols" in spec_args
+
+    def test_numeric_status_matches_per_token_parse(self, tmp_path):
+        p = tmp_path / "num.csv"
+        p.write_text("time,status,a\n1,2.0,0.5\n2, 1 ,1.5\n3,2,NA\n4,2,7\n", encoding="utf-8")
+        spec = DatasetSpec(path=p, status_event_value=2)
+        ds = load_dataset(spec)
+        np.testing.assert_array_equal(ds.status, load_per_token(spec)[2])
+        np.testing.assert_array_equal(ds.status, [1, 0, 1])
+
+    def test_unparseable_token_deep_in_large_file_names_line_and_column(self, tmp_path):
+        n = 100_000
+        rng = np.random.default_rng(5)
+        time = [repr(float(t)) for t in rng.random(n) + 0.5]
+        time[49_999] = "1.2.3"  # data row 50000 is line 50001
+        rows = [f"{t},1,{i % 7}" for i, t in enumerate(time)]
+        p = tmp_path / "big.csv"
+        p.write_text("time,status,a\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetLoadError, match=r"line 50001, column 'time': cannot parse '1\.2\.3'"):
+            load_dataset(DatasetSpec(path=p))
+
+    def test_line_numbers_count_blank_and_dropped_rows(self, tmp_path):
+        p = tmp_path / "gaps.csv"
+        p.write_text("time,status,a\n1,1,0.5\n\n2,1,NA\n\n0,1,1.5\n", encoding="utf-8")
+        with pytest.raises(DatasetLoadError, match="line 6, column 'time': time must be positive"):
+            load_dataset(DatasetSpec(path=p))
+        p.write_text("time,status,a\n1,1,0.5\n\nx,1,NA\n\noops,1,1.5\n", encoding="utf-8")
+        with pytest.raises(DatasetLoadError, match="line 6, column 'time': cannot parse 'oops'"):
+            load_dataset(DatasetSpec(path=p))
+
+    def test_wrong_field_count_names_line(self, tmp_path):
+        p = tmp_path / "short.csv"
+        p.write_text("time,status,a\n1,1,0.5\n\n2,0\n", encoding="utf-8")
+        with pytest.raises(DatasetLoadError, match="line 4 has 2 fields, expected 3"):
+            load_dataset(DatasetSpec(path=p))
+
+    def test_digest_is_sha256_of_file_bytes(self, tmp_path):
+        import hashlib
+
+        p = tmp_path / "crlf.csv"
+        p.write_bytes(b"time;status;a\r\n1;1;0.5\r\n2;0;1.5\r\n")
+        ds = load_dataset(DatasetSpec(path=p))
+        assert ds.attrs["source_sha256"] == hashlib.sha256(p.read_bytes()).hexdigest()
+        np.testing.assert_array_equal(ds.covariates[:, 0], [0.5, 1.5])
