@@ -172,11 +172,21 @@ def empirical_copula(x, cfg: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
 
 
 def _kth_nn_distance(u: np.ndarray, k: int, norm: str) -> np.ndarray:
-    """Distance from each row to its k-th nearest other row, by kd-tree."""
+    """Distance from each row to its k-th nearest other row, by kd-tree.
+
+    The rows are queried in the tree's leaf order (``tree.indices``), so
+    consecutive queries walk the same nodes, and the distances are then
+    scattered back to row order.  The search is exact, so the order of the
+    queries changes no distance.  Splitting at the sliding midpoint instead
+    of the median, without shrinking nodes to their points' bounding boxes,
+    halves the build time; copula points fill the unit cube evenly, so the
+    leaf-order queries are no slower on that tree.
+    """
     p = np.inf if norm == "max" else 2
-    tree = cKDTree(u)
-    dist, _ = tree.query(u, k=k + 1, p=p)
-    return dist[:, k]
+    tree = cKDTree(u, balanced_tree=False, compact_nodes=False)
+    dist = np.empty(u.shape[0])
+    dist[tree.indices] = tree.query(u[tree.indices], k=k + 1, p=p)[0][:, k]
+    return dist
 
 
 def _log_unit_diameter_ball_volume(d: int, norm: str) -> float:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 from scipy.special import digamma as scipy_digamma
 
 from cesurv.copula_entropy import (
@@ -159,6 +160,38 @@ class TestNeighborSearch:
             brute = kth_nn_distance_brute(u, 3, norm)
             tree = _kth_nn_distance(u, 3, norm)
             np.testing.assert_array_equal(brute, tree)
+
+    @staticmethod
+    def plain_tree_distance(u, k, norm):
+        p = np.inf if norm == "max" else 2
+        return cKDTree(u).query(u, k + 1, p=p)[0][:, k]
+
+    @pytest.mark.parametrize("norm", ["max", "euclidean"])
+    def test_leaf_order_equals_plain_tree_on_large_simulation(self, norm):
+        # The copulas a ranking builds at 2*10^4 rows, including discrete
+        # covariates coded like the cancer table's sex (1/2) and ph.ecog (0-3).
+        n = 20_000
+        ds = simulate(SimConfig(seed=3, n_subjects=n))
+        rng = np.random.default_rng([3, 1])
+        sex = 1.0 + (rng.random(n) < 0.4)
+        ecog = rng.choice(4, size=n, p=[0.28, 0.50, 0.20, 0.02]).astype(float)
+        ts = np.column_stack([ds.time, ds.status.astype(float)])
+        for cov in (ds.covariates[:, 0], sex, ecog):
+            for x in (np.column_stack([ts[:, 0], cov]), np.column_stack([ts, cov])):
+                u = empirical_copula(x, CFG)
+                np.testing.assert_array_equal(
+                    _kth_nn_distance(u, 3, norm), self.plain_tree_distance(u, 3, norm)
+                )
+
+    @pytest.mark.parametrize("norm", ["max", "euclidean"])
+    def test_leaf_order_equals_plain_tree_on_tied_grid(self, norm):
+        # Many exact duplicates and equidistant neighbors.
+        rng = np.random.default_rng(31)
+        for d, levels in ((2, 6), (3, 4)):
+            u = rng.integers(1, levels + 1, (5000, d)) / levels
+            np.testing.assert_array_equal(
+                _kth_nn_distance(u, 3, norm), self.plain_tree_distance(u, 3, norm)
+            )
 
     def test_duplicate_points_hit_distance_floor(self):
         u = np.array([[0.5, 0.5]] * 6)
