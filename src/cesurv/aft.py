@@ -28,6 +28,10 @@ _LOG_SIGMA_FLOOR = -5.0
 # steps of several hundred, whose trial sigma underflows to zero; accepted
 # steps on the simulations and bundled tables move log sigma by under 2.
 _MAX_LOG_SIGMA_STEP = 5.0
+# A likelihood with no maximum, for instance all event times equal, keeps
+# rising as sigma goes to zero.  A fit whose log sigma falls below this
+# stops with NonConvergenceError while 1/sigma**2 is still finite.
+_LOG_SIGMA_MIN = -300.0
 
 
 @dataclass(frozen=True)
@@ -127,7 +131,8 @@ def fit(ds: SurvivalDataset, included) -> AFTModel:
     Initialization: intercept = mean log event time, beta = 0, log sigma =
     log(sd of log event times) floored at -5.  Stops when the gradient
     max-norm drops below 1e-8 or after 200 Newton steps; ``converged``
-    records which.
+    records which.  Raises NonConvergenceError when log sigma falls below
+    -300, where the likelihood has no maximum.
     """
     if ds.n_events == 0:
         raise NoEventsError("no observed events: scale is unbounded, cannot fit")
@@ -186,6 +191,11 @@ def fit(ds: SurvivalDataset, included) -> AFTModel:
                 break
             t *= 0.5
         iterations += 1
+        if params[-1] < _LOG_SIGMA_MIN:
+            raise NonConvergenceError(
+                "scale collapsed towards zero: the likelihood has no maximum",
+                iterations=iterations, gradient_norm=float(np.abs(grad).max()),
+            )
         if not accepted:
             if not np.isfinite(cand_ll):
                 raise NonConvergenceError(

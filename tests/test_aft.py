@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cesurv.aft import AFTModel, fit, loglik_and_gradient, predict_median
-from cesurv.errors import InvalidInputError, NoEventsError
+from cesurv.errors import InvalidInputError, NoEventsError, NonConvergenceError
 from cesurv.survsim import SimConfig, SurvivalDataset, simulate
 
 
@@ -49,6 +49,17 @@ class TestFit:
         ds = SurvivalDataset(np.zeros((5, 1)), np.ones(5), np.zeros(5, dtype=int), ["a"])
         with pytest.raises(NoEventsError):
             fit(ds, ["a"])
+
+    @pytest.mark.parametrize("time", [1.0, 42.0])
+    def test_likelihood_without_maximum_raises(self, time):
+        # Equal event times: the likelihood rises without bound as sigma
+        # goes to zero.  The fit must say so, without a floating-point
+        # warning and without returning a zero scale.
+        ds = SurvivalDataset(np.empty((20, 0)), np.full(20, time), np.ones(20, dtype=int), [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergenceError, match="no maximum"):
+                fit(ds, [])
 
     def test_unknown_covariate_rejected(self):
         ds = weibull_sample(50, 0.0, 1.0, seed=0)
