@@ -134,7 +134,7 @@ def _column_stream(col: np.ndarray, cfg: EstimatorConfig) -> np.random.Generator
     return np.random.default_rng((_JITTER_STREAM_TAG, cfg.jitter_seed, key))
 
 
-def _tie_break(x: np.ndarray, cfg: EstimatorConfig) -> np.ndarray:
+def _tie_break(x: np.ndarray, cfg: EstimatorConfig) -> tuple:
     """Perturb x so ranking is unambiguous, deterministically in jitter_seed.
 
     The offset for row i of column j is tie_jitter * std_j * u_ij, with the
@@ -145,12 +145,16 @@ def _tie_break(x: np.ndarray, cfg: EstimatorConfig) -> np.ndarray:
     count data", ASTIN Bulletin 37(2), 2007).  A stream shared across
     columns would order every tied block by the same u_i, put the copula
     points of tied rows on a diagonal, and read as dependence.
+
+    Returns the perturbed values and the draws u.  Where the offset is
+    below the spacing of floats at a column's values, perturbed values
+    still collide, so the ranking orders by u after the value.
     """
     n = x.shape[0]
     u = np.column_stack([_column_stream(col, cfg).random(n) for col in x.T])
     scale = x.std(axis=0)
     scale[scale == 0.0] = 1.0
-    return x + cfg.tie_jitter * scale[None, :] * u
+    return x + cfg.tie_jitter * scale[None, :] * u, u
 
 
 def empirical_copula(x, cfg: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
@@ -159,15 +163,19 @@ def empirical_copula(x, cfg: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
     Tie-free columns come out as a permutation of {1/N, ..., 1}; ties are
     broken by the deterministic jitter in ``cfg``, drawn independently for
     each column, so tied values get a uniformly random order within their
-    block and repeated calls agree exactly.  Output entries lie in (0, 1].
+    block and repeated calls agree exactly.  Rows are ordered by (perturbed
+    value, jitter draw): the value's rounding is monotone in the draw, so
+    a block whose jitter rounds away is ordered as if it had not, and never
+    falls back to row order, which every column would share.  Output
+    entries lie in (0, 1].
     """
     x = as_sample_matrix(x)
     n = x.shape[0]
-    xp = _tie_break(x, cfg)
-    order = np.argsort(xp, axis=0, kind="stable")
-    ranks = np.empty_like(order)
-    rows = np.arange(1, n + 1)[:, None]
-    np.put_along_axis(ranks, order, np.broadcast_to(rows, x.shape), axis=0)
+    xp, u = _tie_break(x, cfg)
+    ranks = np.empty(x.shape, dtype=np.intp)
+    rows = np.arange(1, n + 1)
+    for j in range(x.shape[1]):
+        ranks[np.lexsort((u[:, j], xp[:, j])), j] = rows
     return ranks / float(n)
 
 

@@ -287,6 +287,15 @@ class TestCopulaEntropy:
             )
         assert abs(float(np.mean(vals))) <= 0.05
 
+    @pytest.mark.parametrize("offset", [1e7, 1e12])
+    def test_offset_where_jitter_rounds_away(self, offset):
+        # At 1e7 and above, tie_jitter * std is below the spacing of floats,
+        # so the jitter leaves the values tied; ties must still be ordered
+        # by each column's own draws, not by the row order all columns share.
+        x = np.random.default_rng(5).integers(0, 2, (1000, 2)).astype(float)
+        assert copula_entropy(x + offset, CFG) == copula_entropy(x, CFG)
+        assert abs(copula_entropy(x + offset, CFG)) < 0.1
+
     def test_deterministic(self):
         x = gaussian_pair(0.6, 500, seed=24)
         assert copula_entropy(x, CFG) == copula_entropy(x, CFG)
