@@ -215,9 +215,10 @@ def load_dataset(spec: DatasetSpec) -> SurvivalDataset:
             except ValueError:
                 continue
             if mask is not None:
-                values, present = np.full(n_raw, np.nan), values
-                values[~mask] = present
-            parsed[col] = values
+                parsed[col] = np.full(n_raw, np.nan)
+                parsed[col][~mask] = values
+            else:
+                parsed[col] = values
         covariates = tuple(parsed)
     else:
         covariates = spec.covariate_cols
