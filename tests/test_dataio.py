@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -309,8 +310,6 @@ class TestColumnarIO:
             load_dataset(DatasetSpec(path=p))
 
     def test_digest_is_sha256_of_file_bytes(self, tmp_path):
-        import hashlib
-
         p = tmp_path / "crlf.csv"
         p.write_bytes(b"time;status;a\r\n1;1;0.5\r\n2;0;1.5\r\n")
         ds = load_dataset(DatasetSpec(path=p))
