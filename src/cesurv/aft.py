@@ -73,38 +73,55 @@ def _design(ds: SurvivalDataset, included) -> np.ndarray:
     return ds.covariates[:, cols]
 
 
-def _loglik_parts(params, log_t, x, status):
-    """Log-likelihood, gradient and Hessian at params=(b0, beta..., log sigma).
+def _loglik(params, log_t, x, status):
+    """Log-likelihood at params=(b0, beta..., log sigma).
 
+    Also returns sigma, the standardized residuals w and exp(w), from which
+    ``_derivatives`` builds the gradient and Hessian at the same point.
     Trial points far from the optimum can overflow exp(w); the resulting
-    -inf likelihood is rejected by the caller, so arithmetic noise in the
-    derivative blocks is tolerated here rather than warned about.
+    -inf likelihood is rejected by the caller, so arithmetic noise is
+    tolerated here rather than warned about.
     """
     b0, beta, log_sigma = params[0], params[1:-1], params[-1]
     sigma = math.exp(log_sigma)
     with np.errstate(over="ignore", invalid="ignore"):
         w = (log_t - b0 - x @ beta) / sigma
         ew = np.exp(w)
-        n_events = status.sum()
         loglik = float(np.sum(status * (-log_sigma - log_t + w)) - ew.sum())
+    return loglik, (sigma, w, ew)
+
+
+def _derivatives(terms, x, status, hessian: bool = True) -> tuple:
+    """Gradient and (unless ``hessian`` is false) Hessian from ``_loglik``'s terms."""
+    sigma, w, ew = terms
+    with np.errstate(over="ignore", invalid="ignore"):
+        n_events = status.sum()
         a = status - ew  # d(loglik)/dw per row
         g0 = -a.sum() / sigma
         gb = -(x.T @ a) / sigma
         gs = -float(a @ w) - float(n_events)
         grad = np.concatenate([[g0], gb, [gs]])
+        if not hessian:
+            return grad, None
         # Hessian blocks in (b0, beta) x (b0, beta) and the log-sigma row/col.
         xe = np.concatenate([np.ones((len(w), 1)), x], axis=1)
         ex = ew[:, None] * xe
         h_loc = -(xe.T @ ex) / sigma**2
         h_loc_s = (xe.T @ a - xe.T @ (ew * w)) / sigma
         h_ss = -float(ew @ (w * w)) + float(a @ w)
-    p = len(params)
+    p = len(grad)
     hess = np.empty((p, p))
     hess[: p - 1, : p - 1] = h_loc
     hess[: p - 1, p - 1] = h_loc_s
     hess[p - 1, : p - 1] = h_loc_s
     hess[p - 1, p - 1] = h_ss
-    return loglik, grad, hess
+    return grad, hess
+
+
+def _loglik_parts(params, log_t, x, status, hessian: bool = True) -> tuple:
+    """Log-likelihood, gradient and (unless ``hessian`` is false) Hessian at params."""
+    loglik, terms = _loglik(params, log_t, x, status)
+    return (loglik, *_derivatives(terms, x, status, hessian))
 
 
 def loglik_and_gradient(params, ds: SurvivalDataset, included) -> tuple:
@@ -121,7 +138,7 @@ def loglik_and_gradient(params, ds: SurvivalDataset, included) -> tuple:
             f"expected {x.shape[1] + 2} parameters for {len(included)} covariates, "
             f"got {params.shape[0]}"
         )
-    loglik, grad, _ = _loglik_parts(params, np.log(ds.time), x, ds.status.astype(float))
+    loglik, grad, _ = _loglik_parts(params, np.log(ds.time), x, ds.status.astype(float), hessian=False)
     return loglik, grad
 
 
@@ -178,15 +195,18 @@ def fit(ds: SurvivalDataset, included) -> AFTModel:
         # Step halving keeps the likelihood non-decreasing.  It starts from
         # the longest step on the halving grid whose log-sigma move is in
         # bound, so an in-bound trial is the same point as without a bound.
+        # Trials compute the likelihood only; the derivatives are built for
+        # the accepted point.
         t = 1.0
         while abs(t * step[-1]) > _MAX_LOG_SIGMA_STEP:
             t *= 0.5
         accepted = False
         for _ in range(_MAX_HALVINGS):
             cand = params + t * step
-            cand_ll, cand_grad, cand_hess = _loglik_parts(cand, log_t, x, status)
+            cand_ll, cand_terms = _loglik(cand, log_t, x, status)
             if np.isfinite(cand_ll) and cand_ll >= loglik:
-                params, loglik, grad, hess = cand, cand_ll, cand_grad, cand_hess
+                params, loglik = cand, cand_ll
+                grad, hess = _derivatives(cand_terms, x, status)
                 accepted = True
                 break
             t *= 0.5

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -37,6 +38,17 @@ __all__ = [
 _EPS_FLOOR = 1e-12
 
 _NORMS = ("max", "euclidean")
+
+# CPUs this process may run on; the kd-tree search uses up to this many
+# threads.  ``taskset`` limits it.
+try:
+    _CPUS = len(os.sched_getaffinity(0))
+except AttributeError:  # platforms without CPU affinity
+    _CPUS = os.cpu_count() or 1
+# Rows each search thread gets at least.  Starting the threads costs about
+# 0.15 ms per query, so below about 5000 rows (2500 per thread) one thread
+# is as fast or faster, in 2-D and 3-D alike (sweep in CHANGES.md).
+_ROWS_PER_WORKER = 2500
 
 
 @dataclass(frozen=True)
@@ -175,8 +187,31 @@ def empirical_copula(x, cfg: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
     ranks = np.empty(x.shape, dtype=np.intp)
     rows = np.arange(1, n + 1)
     for j in range(x.shape[1]):
-        ranks[np.lexsort((u[:, j], xp[:, j])), j] = rows
+        ranks[_value_draw_order(xp[:, j], u[:, j]), j] = rows
     return ranks / float(n)
+
+
+def _value_draw_order(values: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The permutation ``np.lexsort((draws, values))``, from one argsort.
+
+    A stable sort by value leaves each run of equal values in row order;
+    only the rows of such runs, a small share once the jitter is added, are
+    then sorted by (run, draw), stably, so rows equal in both keep row order
+    as in the lexsort.
+    """
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    tied = ranked[1:] == ranked[:-1]
+    if not tied.any():
+        return order
+    in_run = np.zeros(order.size, dtype=bool)
+    in_run[1:] = tied
+    in_run[:-1] |= tied
+    run = np.cumsum(np.concatenate(([True], ~tied)))
+    pos = np.flatnonzero(in_run)
+    members = order[pos]
+    order[pos] = members[np.lexsort((draws[members], run[pos]))]
+    return order
 
 
 def _kth_nn_distance(u: np.ndarray, k: int, norm: str) -> np.ndarray:
@@ -184,16 +219,21 @@ def _kth_nn_distance(u: np.ndarray, k: int, norm: str) -> np.ndarray:
 
     The rows are queried in the tree's leaf order (``tree.indices``), so
     consecutive queries walk the same nodes, and the distances are then
-    scattered back to row order.  The search is exact, so the order of the
-    queries changes no distance.  Splitting at the sliding midpoint instead
-    of the median, without shrinking nodes to their points' bounding boxes,
-    halves the build time; copula points fill the unit cube evenly, so the
-    leaf-order queries are no slower on that tree.
+    scattered back to row order.  Only the k-th neighbor is asked for, and
+    large tables split the queries over up to ``_CPUS`` threads of at least
+    ``_ROWS_PER_WORKER`` rows each.  The search is exact, so neither the
+    order of the queries nor the thread count changes a distance.
+    Splitting at the sliding midpoint instead of the median, without
+    shrinking nodes to their points' bounding boxes, halves the build time;
+    copula points fill the unit cube evenly, so the leaf-order queries are
+    no slower on that tree.
     """
     p = np.inf if norm == "max" else 2
+    n = u.shape[0]
+    workers = max(1, min(_CPUS, n // _ROWS_PER_WORKER))
     tree = cKDTree(u, balanced_tree=False, compact_nodes=False)
-    dist = np.empty(u.shape[0])
-    dist[tree.indices] = tree.query(u[tree.indices], k=k + 1, p=p)[0][:, k]
+    dist = np.empty(n)
+    dist[tree.indices] = tree.query(u[tree.indices], k=[k + 1], p=p, workers=workers)[0][:, 0]
     return dist
 
 

@@ -17,6 +17,7 @@ column with the same rule as a per-value loop, so the bytes are unchanged.
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import io
 import itertools
@@ -147,6 +148,19 @@ def _read_table(path) -> tuple:
     p = Path(path)
     if not p.is_file():
         raise DatasetLoadError(f"dataset file not found: {p}")
+    # The cyclic collector would traverse the list csv.reader allocates for
+    # every row, none of which can be part of a cycle, so it is paused until
+    # the rows have been transposed to columns and freed.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _read_columns(p)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _read_columns(p: Path) -> tuple:
     with open(p, "rb") as raw:
         hashing = _Sha256Reader(raw)
         text = io.TextIOWrapper(io.BufferedReader(hashing), encoding="utf-8", newline="")

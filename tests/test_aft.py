@@ -109,6 +109,33 @@ class TestFit:
         assert all(b >= a for a, b in zip(accepted, accepted[1:]))
 
 
+    def test_derivatives_built_for_accepted_points_only(self, monkeypatch):
+        # Step-halving trials evaluate the likelihood alone; the gradient and
+        # Hessian are built at the start and at each accepted point.
+        import cesurv.aft as aft_mod
+
+        ds = simulate(SimConfig(seed=9, n_subjects=300))
+        evaluated, built = [], []
+        loglik, derivatives = aft_mod._loglik, aft_mod._derivatives
+
+        def recording_loglik(*args):
+            out = loglik(*args)
+            evaluated.append(out)
+            return out
+
+        def recording_derivatives(terms, *args, **kwargs):
+            built.append(next(ll for ll, t in evaluated if t is terms))
+            return derivatives(terms, *args, **kwargs)
+
+        monkeypatch.setattr(aft_mod, "_loglik", recording_loglik)
+        monkeypatch.setattr(aft_mod, "_derivatives", recording_derivatives)
+        model = fit(ds, ds.names)
+        assert model.converged
+        assert len(built) == model.iterations + 1
+        assert len(evaluated) > len(built)
+        assert all(b >= a for a, b in zip(built, built[1:]))
+
+
 class TestLoglikAndGradient:
     def test_gradient_matches_finite_differences(self):
         ds = simulate(SimConfig(seed=3, n_subjects=10))

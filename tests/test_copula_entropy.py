@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.special import digamma as scipy_digamma
 from cesurv.copula_entropy import (
     EstimatorConfig,
     _kth_nn_distance,
+    _value_draw_order,
     as_sample_matrix,
     copula_entropy,
     digamma,
@@ -17,7 +19,12 @@ from cesurv.copula_entropy import (
 from cesurv.errors import InvalidInputError
 from cesurv.survsim import SimConfig, simulate
 
+# The package re-exports the function copula_entropy under the module's name.
+ce_mod = importlib.import_module("cesurv.copula_entropy")
 CFG = EstimatorConfig()
+# Thread counts the kd-tree search is checked under; 3 exceeds the CPUs of a
+# 2-CPU machine, which the search must handle alike.
+THREAD_COUNTS = (1, 2, 3)
 
 
 def kth_nn_distance_brute(u, k, norm):
@@ -109,6 +116,31 @@ class TestEmpiricalCopula:
         out = empirical_copula(rng.integers(0, 3, size=(30, 2)).astype(float), CFG)
         assert (out > 0).all() and (out <= 1).all()
 
+    @pytest.mark.parametrize(
+        "values, draws",
+        [
+            ([1.0, 1.0], [0.5, 0.5]),
+            ([2.0, 1.0], [0.1, 0.9]),
+            ([3.0] * 7, [0.4, 0.1, 0.4, 0.9, 0.1, 0.1, 0.0]),
+            ([0.0, -0.0, 0.0, -0.0, 1.0, -0.0], [0.3, 0.3, 0.2, 0.3, 0.1, 0.2]),
+            ([1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 2.0], [0.5] * 7),
+        ],
+        ids=["n2_equal", "n2_distinct", "all_equal", "signed_zeros", "equal_draws_in_runs"],
+    )
+    def test_value_draw_order_equals_lexsort(self, values, draws):
+        values, draws = np.array(values), np.array(draws)
+        np.testing.assert_array_equal(_value_draw_order(values, draws), np.lexsort((draws, values)))
+
+    def test_value_draw_order_equals_lexsort_on_random_ties(self):
+        rng = np.random.default_rng(17)
+        levels = np.array([-1.5, -0.0, 0.0, 1.0, 2.0])
+        for n in range(2, 300, 7):
+            values = rng.choice(levels, size=n)
+            draws = rng.choice(np.array([0.125, 0.25, 0.5]), size=n)
+            np.testing.assert_array_equal(_value_draw_order(values, draws), np.lexsort((draws, values)))
+            draws = rng.random(n)
+            np.testing.assert_array_equal(_value_draw_order(values, draws), np.lexsort((draws, values)))
+
     def test_rejects_one_row(self):
         with pytest.raises(InvalidInputError):
             empirical_copula(np.array([[1.0, 2.0]]), CFG)
@@ -166,8 +198,18 @@ class TestNeighborSearch:
         p = np.inf if norm == "max" else 2
         return cKDTree(u).query(u, k + 1, p=p)[0][:, k]
 
+    @staticmethod
+    def assert_equal_on_every_thread_count(u, norm, monkeypatch):
+        # At 100 rows a thread, every table here is split over `cpus` threads.
+        plain = TestNeighborSearch.plain_tree_distance(u, 3, norm)
+        for cpus in THREAD_COUNTS:
+            with monkeypatch.context() as m:
+                m.setattr(ce_mod, "_CPUS", cpus)
+                m.setattr(ce_mod, "_ROWS_PER_WORKER", 100)
+                np.testing.assert_array_equal(_kth_nn_distance(u, 3, norm), plain)
+
     @pytest.mark.parametrize("norm", ["max", "euclidean"])
-    def test_leaf_order_equals_plain_tree_on_large_simulation(self, norm):
+    def test_leaf_order_equals_plain_tree_on_large_simulation(self, norm, monkeypatch):
         # The copulas a ranking builds at 2*10^4 rows, including discrete
         # covariates coded like the cancer table's sex (1/2) and ph.ecog (0-3).
         n = 20_000
@@ -179,19 +221,31 @@ class TestNeighborSearch:
         for cov in (ds.covariates[:, 0], sex, ecog):
             for x in (np.column_stack([ts[:, 0], cov]), np.column_stack([ts, cov])):
                 u = empirical_copula(x, CFG)
-                np.testing.assert_array_equal(
-                    _kth_nn_distance(u, 3, norm), self.plain_tree_distance(u, 3, norm)
-                )
+                self.assert_equal_on_every_thread_count(u, norm, monkeypatch)
 
     @pytest.mark.parametrize("norm", ["max", "euclidean"])
-    def test_leaf_order_equals_plain_tree_on_tied_grid(self, norm):
+    def test_leaf_order_equals_plain_tree_on_tied_grid(self, norm, monkeypatch):
         # Many exact duplicates and equidistant neighbors.
         rng = np.random.default_rng(31)
         for d, levels in ((2, 6), (3, 4)):
             u = rng.integers(1, levels + 1, (5000, d)) / levels
-            np.testing.assert_array_equal(
-                _kth_nn_distance(u, 3, norm), self.plain_tree_distance(u, 3, norm)
-            )
+            self.assert_equal_on_every_thread_count(u, norm, monkeypatch)
+
+    def test_small_tables_search_on_one_thread(self, monkeypatch):
+        # The bundled tables and the paper's 1000-row simulation stay below
+        # two threads' worth of rows, where starting threads costs more.
+        seen = []
+
+        class RecordingTree(cKDTree):
+            def query(self, *args, **kwargs):
+                seen.append(kwargs.get("workers", 1))
+                return super().query(*args, **kwargs)
+
+        monkeypatch.setattr(ce_mod, "_CPUS", 4)
+        monkeypatch.setattr(ce_mod, "cKDTree", RecordingTree)
+        for n in (137, 167, 1000):
+            _kth_nn_distance(np.random.default_rng(n).random((n, 3)), 3, "max")
+        assert seen == [1, 1, 1]
 
     def test_duplicate_points_hit_distance_floor(self):
         u = np.array([[0.5, 0.5]] * 6)

@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 
 import numpy as np
@@ -308,6 +309,25 @@ class TestColumnarIO:
         p.write_text("time,status,a\n1,1,0.5\n\n2,0\n", encoding="utf-8")
         with pytest.raises(DatasetLoadError, match="line 4 has 2 fields, expected 3"):
             load_dataset(DatasetSpec(path=p))
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+    def test_gc_state_restored_after_load(self, tmp_path, enabled):
+        # The read pauses the cyclic collector; it must come back as it was,
+        # also when the load fails.
+        good = tmp_path / "good.csv"
+        good.write_text("time,status,a\n1,1,0.5\n2,0,1.5\n", encoding="utf-8")
+        short = tmp_path / "short.csv"
+        short.write_text("time,status,a\n1,1,0.5\n2,0\n", encoding="utf-8")
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            load_dataset(DatasetSpec(path=good))
+            assert gc.isenabled() is enabled
+            with pytest.raises(DatasetLoadError, match="line 3 has 2 fields"):
+                load_dataset(DatasetSpec(path=short))
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
 
     def test_digest_is_sha256_of_file_bytes(self, tmp_path):
         p = tmp_path / "crlf.csv"

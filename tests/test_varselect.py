@@ -1,12 +1,34 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cesurv
 from cesurv.copula_entropy import EstimatorConfig, copula_entropy
 from cesurv.errors import InvalidInputError
 from cesurv.survsim import SimConfig, SurvivalDataset, simulate
 from cesurv.varselect import RankingEntry, VariableRanking, rank_variables, select_variables
 
 CFG = EstimatorConfig()
+
+# Ranks the table saved at argv[1] on one CPU; prints the CPU count the
+# package saw, then the rankings without and with status as JSON.
+ONE_CPU_RANKING = """
+import json, os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from cesurv.copula_entropy import _CPUS
+from cesurv.survsim import SurvivalDataset
+from cesurv.varselect import rank_variables
+data = np.load(sys.argv[1])
+ds = SurvivalDataset(data["covariates"], data["time"], data["status"], [str(n) for n in data["names"]])
+print(_CPUS)
+print(json.dumps([rank_variables(ds, with_status=s).to_dict() for s in (False, True)]))
+"""
 
 
 def make_ranking(values):
@@ -81,6 +103,27 @@ class TestRankVariables:
         assert flags == {"a": False, "const": True}
         const_ce = next(e.ce for e in r.entries if e.name == "const")
         assert abs(const_ce) < 0.25
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+    def test_one_cpu_ranking_is_bitwise_equal(self, tmp_path):
+        # The kd-tree search splits large tables over the CPUs the process
+        # may use; a child process pinned to one CPU must rank identically.
+        n = 20_000
+        sim = simulate(SimConfig(seed=11, n_subjects=n))
+        rng = np.random.default_rng([11, 1])
+        sex = 1.0 + (rng.random(n) < 0.4)
+        ecog = rng.choice(4, size=n, p=[0.28, 0.50, 0.20, 0.02]).astype(float)
+        ds = SurvivalDataset(np.column_stack([sim.covariates, sex, ecog]), sim.time, sim.status,
+                             [*sim.names, "sex", "ph.ecog"])
+        table = tmp_path / "table.npz"
+        np.savez(table, covariates=ds.covariates, time=ds.time, status=ds.status, names=np.array(ds.names))
+        package_root = str(Path(cesurv.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run([sys.executable, "-c", ONE_CPU_RANKING, str(table)], env=env,
+                               capture_output=True, text=True, check=True)
+        cpus, rankings = child.stdout.splitlines()
+        assert cpus == "1"
+        assert rankings == json.dumps([rank_variables(ds, with_status=s, cfg=CFG).to_dict() for s in (False, True)])
 
     def test_rejects_zero_covariates(self):
         ds = SurvivalDataset(np.empty((10, 0)), np.arange(1, 11.0), np.ones(10, int), [])
