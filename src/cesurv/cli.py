@@ -19,7 +19,7 @@ from .aft import AFTModel, fit, predict_median
 from .copula_entropy import EstimatorConfig
 from .dataio import DatasetSpec, bundled_dataset_spec, load_dataset, save_dataset
 from .errors import CesurvError, InvalidInputError, NumericalError
-from .experiment import run_experiment, write_performance_table, write_ranking_table
+from .experiment import run_experiment, write_performance_table, write_ranking, write_ranking_table
 from .metrics import EvalReport, c_index, mae
 from .survsim import SimConfig, simulate
 from .varselect import rank_variables, select_variables
@@ -130,10 +130,7 @@ def _cmd_select(args):
         result["selected"] = select_variables(ranking, top_m=args.top)
     _write_text(args.out, json.dumps(result, indent=2) + "\n")
     if args.plot_data:
-        with open(args.plot_data, "w", encoding="utf-8") as fh:
-            fh.write("name,ce\n")
-            for e in ranking.entries:
-                fh.write(f"{e.name},{e.ce!r}\n")
+        write_ranking(ranking, args.plot_data)
     return 0
 
 

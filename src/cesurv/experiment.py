@@ -9,6 +9,7 @@ bodies apart from the timestamp field).
 
 from __future__ import annotations
 
+import csv
 import datetime
 import hashlib
 import json
@@ -28,6 +29,7 @@ from .varselect import VariableRanking, rank_variables, select_variables
 __all__ = [
     "ExperimentReport",
     "run_experiment",
+    "write_ranking",
     "write_ranking_table",
     "write_performance_table",
 ]
@@ -209,25 +211,33 @@ def _fmt(value) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def write_ranking_table(report: ExperimentReport, path, delimiter: str = ",") -> None:
+def _write_table(path, header, rows, delimiter: str) -> None:
+    """One plot-data table; csv.writer quotes a name holding a delimiter or quote."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_ranking(ranking: VariableRanking, path, ranking_with_status: VariableRanking = None,
+                  delimiter: str = ",") -> None:
     """Bar-chart data: one (name, ce[, ce_with_status]) row per covariate."""
-    second = report.ranking_with_status
-    with open(path, "w", encoding="utf-8") as fh:
-        header = ["name", "ce"] + (["ce_with_status"] if second else [])
-        fh.write(delimiter.join(header) + "\n")
-        by_name = {e.name: e for e in second.entries} if second else {}
-        for e in report.ranking.entries:
-            row = [e.name, _fmt(e.ce)]
-            if second:
-                row.append(_fmt(by_name[e.name].ce))
-            fh.write(delimiter.join(row) + "\n")
+    header = ["name", "ce"]
+    rows = [[e.name, _fmt(e.ce)] for e in ranking.entries]
+    if ranking_with_status:
+        header.append("ce_with_status")
+        by_name = {e.name: e for e in ranking_with_status.entries}
+        for row in rows:
+            row.append(_fmt(by_name[row[0]].ce))
+    _write_table(path, header, rows, delimiter)
+
+
+def write_ranking_table(report: ExperimentReport, path, delimiter: str = ",") -> None:
+    """The ranking table of a report, with CE2 beside CE1 when it has both."""
+    write_ranking(report.ranking, path, report.ranking_with_status, delimiter)
 
 
 def write_performance_table(report: ExperimentReport, path, delimiter: str = ",") -> None:
     """Bar-chart data: one (model_label, mae, c_index) row per model."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(delimiter.join(["model_label", "mae", "c_index"]) + "\n")
-        for ev in report.evaluations:
-            fh.write(
-                delimiter.join([ev.model_label, _fmt(ev.mae), _fmt(ev.c_index)]) + "\n"
-            )
+    rows = [[ev.model_label, _fmt(ev.mae), _fmt(ev.c_index)] for ev in report.evaluations]
+    _write_table(path, ["model_label", "mae", "c_index"], rows, delimiter)

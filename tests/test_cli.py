@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -42,6 +43,22 @@ class TestSelectCommand:
         assert len(report["selected"]) == 2
         assert len(report["ranking"]["entries"]) == 5
         assert plot.read_text().splitlines()[0] == "name,ce"
+
+    def test_plot_data_quotes_names(self, tmp_path):
+        from cesurv.dataio import save_dataset
+        from cesurv.survsim import SurvivalDataset
+
+        rng = np.random.default_rng(4)
+        data = tmp_path / "d.csv"
+        save_dataset(SurvivalDataset(rng.standard_normal((200, 3)), rng.random(200) + 0.5,
+                                     rng.integers(0, 2, 200), ["a", "b,c", 'd"e']), data)
+        out, plot = tmp_path / "rank.json", tmp_path / "rank.csv"
+        assert run("select", "--data", str(data), "--out", str(out), "--plot-data", str(plot)) == 0
+        entries = json.loads(out.read_text())["ranking"]["entries"]
+        with open(plot, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["name", "ce"]] + [[e["name"], repr(e["ce"])] for e in entries]
+        assert {row[0] for row in rows[1:]} == {"a", "b,c", 'd"e'}
 
     def test_bundled_dataset(self, tmp_path):
         out = tmp_path / "veteran.json"

@@ -1,10 +1,12 @@
 import csv
 import gc
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import cesurv.dataio as dataio
 from cesurv.dataio import DatasetSpec, bundled_dataset_spec, load_dataset, save_dataset
 from cesurv.errors import DatasetLoadError, InvalidInputError
 from cesurv.survsim import SurvivalDataset
@@ -65,6 +67,25 @@ def load_per_token(spec):
     time = [num(col[spec.time_col][i]) for i in kept]
     return (np.array(covariates, dtype=float).T.reshape(len(kept), len(names)), np.array(time),
             np.array(status), list(names), maps, len(body), len(body) - len(kept))
+
+
+def block_sizes(monkeypatch):
+    """Run the loop body once per block size: one record, three, the default."""
+    for rows in (1, 3, dataio._BLOCK_ROWS):
+        monkeypatch.setattr(dataio, "_BLOCK_ROWS", rows)
+        yield rows
+
+
+def assert_matches_per_token_load(spec):
+    ds = load_dataset(spec)
+    x, time, status, names, maps, n_raw, n_dropped = load_per_token(spec)
+    assert ds.names == names
+    np.testing.assert_array_equal(ds.covariates, x)
+    np.testing.assert_array_equal(ds.time, time)
+    np.testing.assert_array_equal(ds.status, status)
+    assert ds.attrs["categorical_maps"] == maps
+    assert (ds.attrs["n_raw_rows"], ds.attrs["n_dropped_rows"]) == (n_raw, n_dropped)
+    return ds
 
 
 class TestBundledData:
@@ -214,26 +235,40 @@ class TestColumnarIO:
         return SurvivalDataset(x, time, rng.integers(0, 2, n), ["a", "b,c", 'd"e'])
 
     @pytest.mark.parametrize("n", [1, 8192, 20000])
-    def test_save_bytes_match_per_row_writer(self, tmp_path, n):
+    def test_save_bytes_match_per_row_writer(self, tmp_path, n, monkeypatch):
         ds = self.special_dataset(n)
-        save_dataset(ds, tmp_path / "block.csv")
         save_per_row(ds, tmp_path / "row.csv")
-        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
+        for _ in block_sizes(monkeypatch):
+            save_dataset(ds, tmp_path / "block.csv")
+            assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
 
-    def test_save_tab_delimiter_matches_per_row_writer(self, tmp_path):
+    def test_save_tab_delimiter_matches_per_row_writer(self, tmp_path, monkeypatch):
         ds = self.special_dataset(100)
-        save_dataset(ds, tmp_path / "block.tsv", delimiter="\t")
         save_per_row(ds, tmp_path / "row.tsv", delimiter="\t")
-        assert (tmp_path / "block.tsv").read_bytes() == (tmp_path / "row.tsv").read_bytes()
+        for _ in block_sizes(monkeypatch):
+            save_dataset(ds, tmp_path / "block.tsv", delimiter="\t")
+            assert (tmp_path / "block.tsv").read_bytes() == (tmp_path / "row.tsv").read_bytes()
 
-    def test_special_values_round_trip(self, tmp_path):
+    def test_save_accepts_only_the_delimiters_load_detects(self, tmp_path):
+        ds = self.special_dataset(100)
+        save_dataset(ds, tmp_path / "block.ssv", delimiter=";")
+        save_per_row(ds, tmp_path / "row.ssv", delimiter=";")
+        assert (tmp_path / "block.ssv").read_bytes() == (tmp_path / "row.ssv").read_bytes()
+        for delimiter in ("|", " ", ",;", "."):
+            out = tmp_path / "rejected.csv"
+            with pytest.raises(InvalidInputError, match="delimiter"):
+                save_dataset(ds, out, delimiter=delimiter)
+            assert not out.exists()
+
+    def test_special_values_round_trip(self, tmp_path, monkeypatch):
         ds = self.special_dataset(20000)
-        save_dataset(ds, tmp_path / "rt.csv")
-        back = load_dataset(DatasetSpec(path=tmp_path / "rt.csv"))
-        assert back.names == ds.names
-        np.testing.assert_array_equal(back.covariates, ds.covariates)
-        np.testing.assert_array_equal(back.time, ds.time)
-        np.testing.assert_array_equal(back.status, ds.status)
+        for _ in block_sizes(monkeypatch):
+            save_dataset(ds, tmp_path / "rt.csv")
+            back = load_dataset(DatasetSpec(path=tmp_path / "rt.csv"))
+            assert back.names == ds.names
+            np.testing.assert_array_equal(back.covariates, ds.covariates)
+            np.testing.assert_array_equal(back.time, ds.time)
+            np.testing.assert_array_equal(back.status, ds.status)
 
     @staticmethod
     def messy_table(n, delim):
@@ -262,29 +297,24 @@ class TestColumnarIO:
         dict(status_event_value="dead", covariate_cols=("grp", "a", "b"), na_screen_cols=("extra",)),
         dict(status_event_value="alive", covariate_cols=("note",)),
     ])
-    def test_load_matches_per_token_parse(self, tmp_path, delim, spec_args):
+    def test_load_matches_per_token_parse(self, tmp_path, delim, spec_args, monkeypatch):
         p = tmp_path / "messy.csv"
         p.write_text(self.messy_table(300, delim), encoding="utf-8")
         spec = DatasetSpec(path=p, **spec_args)
-        ds = load_dataset(spec)
-        x, time, status, names, maps, n_raw, n_dropped = load_per_token(spec)
-        assert ds.names == names
-        np.testing.assert_array_equal(ds.covariates, x)
-        np.testing.assert_array_equal(ds.time, time)
-        np.testing.assert_array_equal(ds.status, status)
-        assert ds.attrs["categorical_maps"] == maps
-        assert (ds.attrs["n_raw_rows"], ds.attrs["n_dropped_rows"]) == (n_raw, n_dropped)
-        assert n_dropped > 0 or "covariate_cols" in spec_args
+        for _ in block_sizes(monkeypatch):
+            ds = assert_matches_per_token_load(spec)
+            assert ds.attrs["n_dropped_rows"] > 0 or "covariate_cols" in spec_args
 
-    def test_numeric_status_matches_per_token_parse(self, tmp_path):
+    def test_numeric_status_matches_per_token_parse(self, tmp_path, monkeypatch):
         p = tmp_path / "num.csv"
         p.write_text("time,status,a\n1,2.0,0.5\n2, 1 ,1.5\n3,2,NA\n4,2,7\n", encoding="utf-8")
         spec = DatasetSpec(path=p, status_event_value=2)
-        ds = load_dataset(spec)
-        np.testing.assert_array_equal(ds.status, load_per_token(spec)[2])
-        np.testing.assert_array_equal(ds.status, [1, 0, 1])
+        for _ in block_sizes(monkeypatch):
+            ds = load_dataset(spec)
+            np.testing.assert_array_equal(ds.status, load_per_token(spec)[2])
+            np.testing.assert_array_equal(ds.status, [1, 0, 1])
 
-    def test_unparseable_token_deep_in_large_file_names_line_and_column(self, tmp_path):
+    def test_unparseable_token_deep_in_large_file_names_line_and_column(self, tmp_path, monkeypatch):
         n = 100_000
         rng = np.random.default_rng(5)
         time = [repr(float(t)) for t in rng.random(n) + 0.5]
@@ -292,23 +322,27 @@ class TestColumnarIO:
         rows = [f"{t},1,{i % 7}" for i, t in enumerate(time)]
         p = tmp_path / "big.csv"
         p.write_text("time,status,a\n" + "\n".join(rows) + "\n", encoding="utf-8")
-        with pytest.raises(DatasetLoadError, match=r"line 50001, column 'time': cannot parse '1\.2\.3'"):
-            load_dataset(DatasetSpec(path=p))
+        for _ in block_sizes(monkeypatch):
+            with pytest.raises(DatasetLoadError, match=r"line 50001, column 'time': cannot parse '1\.2\.3'"):
+                load_dataset(DatasetSpec(path=p))
 
-    def test_line_numbers_count_blank_and_dropped_rows(self, tmp_path):
+    def test_line_numbers_count_blank_and_dropped_rows(self, tmp_path, monkeypatch):
         p = tmp_path / "gaps.csv"
+        q = tmp_path / "gaps_text.csv"
         p.write_text("time,status,a\n1,1,0.5\n\n2,1,NA\n\n0,1,1.5\n", encoding="utf-8")
-        with pytest.raises(DatasetLoadError, match="line 6, column 'time': time must be positive"):
-            load_dataset(DatasetSpec(path=p))
-        p.write_text("time,status,a\n1,1,0.5\n\nx,1,NA\n\noops,1,1.5\n", encoding="utf-8")
-        with pytest.raises(DatasetLoadError, match="line 6, column 'time': cannot parse 'oops'"):
-            load_dataset(DatasetSpec(path=p))
+        q.write_text("time,status,a\n1,1,0.5\n\nx,1,NA\n\noops,1,1.5\n", encoding="utf-8")
+        for _ in block_sizes(monkeypatch):
+            with pytest.raises(DatasetLoadError, match="line 6, column 'time': time must be positive"):
+                load_dataset(DatasetSpec(path=p))
+            with pytest.raises(DatasetLoadError, match="line 6, column 'time': cannot parse 'oops'"):
+                load_dataset(DatasetSpec(path=q))
 
-    def test_wrong_field_count_names_line(self, tmp_path):
+    def test_wrong_field_count_names_line(self, tmp_path, monkeypatch):
         p = tmp_path / "short.csv"
         p.write_text("time,status,a\n1,1,0.5\n\n2,0\n", encoding="utf-8")
-        with pytest.raises(DatasetLoadError, match="line 4 has 2 fields, expected 3"):
-            load_dataset(DatasetSpec(path=p))
+        for _ in block_sizes(monkeypatch):
+            with pytest.raises(DatasetLoadError, match="line 4 has 2 fields, expected 3"):
+                load_dataset(DatasetSpec(path=p))
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
     def test_gc_state_restored_after_load(self, tmp_path, enabled):
@@ -329,9 +363,119 @@ class TestColumnarIO:
         finally:
             gc.enable() if was_enabled else gc.disable()
 
-    def test_digest_is_sha256_of_file_bytes(self, tmp_path):
+    def test_digest_is_sha256_of_file_bytes(self, tmp_path, monkeypatch):
         p = tmp_path / "crlf.csv"
         p.write_bytes(b"time;status;a\r\n1;1;0.5\r\n2;0;1.5\r\n")
-        ds = load_dataset(DatasetSpec(path=p))
-        assert ds.attrs["source_sha256"] == hashlib.sha256(p.read_bytes()).hexdigest()
-        np.testing.assert_array_equal(ds.covariates[:, 0], [0.5, 1.5])
+        for _ in block_sizes(monkeypatch):
+            ds = load_dataset(DatasetSpec(path=p))
+            assert ds.attrs["source_sha256"] == hashlib.sha256(p.read_bytes()).hexdigest()
+            np.testing.assert_array_equal(ds.covariates[:, 0], [0.5, 1.5])
+
+
+class TestBlockwiseRead:
+    """Columns whose form changes between blocks, against the per-token reference."""
+
+    @staticmethod
+    def write(tmp_path, lines, name="blocks.csv"):
+        p = tmp_path / name
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return p
+
+    @staticmethod
+    def recording_passes(monkeypatch, header):
+        """The set of column names each pass of a load keeps."""
+        passes = []
+        read_columns = dataio._read_columns
+
+        def recording(path, plan):
+            passes.append(set(plan(header)))
+            return read_columns(path, plan)
+
+        monkeypatch.setattr(dataio, "_read_columns", recording)
+        return passes
+
+    def test_column_turning_to_text_late_takes_a_second_pass(self, tmp_path, monkeypatch):
+        # 'grp' is numeric for 7 records, then text; 'late' turns to text at
+        # its last record; 'status' holds text only in a row dropped for 'b'.
+        header = ["time", "status", "grp", "a", "late", "b"]
+        rows = [f"{i + 1},{'x' if i == 8 else i % 2},{i % 3 if i < 7 else 'g'},{i},"
+                f"{i if i < 9 else 'z'},{'NA' if i == 8 else i}" for i in range(10)]
+        p = self.write(tmp_path, [",".join(header), *rows])
+        passes = self.recording_passes(monkeypatch, header)
+        for block_rows in block_sizes(monkeypatch):
+            for covariates, reread in ((("grp", "a"), {"grp", "status"}),
+                                       (("late", "b"), {"late", "status"}),
+                                       (None, {"status"})):  # text is never a default covariate
+                passes.clear()
+                ds = assert_matches_per_token_load(DatasetSpec(path=p, covariate_cols=covariates))
+                assert passes[1:] == ([reread] if block_rows < 10 else [])
+                assert ds.attrs["source_sha256"] == hashlib.sha256(p.read_bytes()).hexdigest()
+            assert ds.names == ["a", "b"]
+
+    def test_missing_only_in_a_late_block(self, tmp_path, monkeypatch):
+        rows = [f"{i + 1},1,{'NA' if i == 9 else i * 0.5},{' ' if i == 8 else i}" for i in range(10)]
+        p = self.write(tmp_path, ["time,status,a,b", *rows])
+        for _ in block_sizes(monkeypatch):
+            ds = assert_matches_per_token_load(DatasetSpec(path=p))
+            assert ds.n_rows == 8
+
+    def test_blank_lines_on_block_boundaries(self, tmp_path, monkeypatch):
+        # Blank lines first, at each multiple of 3 and last: some blocks hold
+        # no record at all, and line numbers still count them.
+        lines = ["time,status,a", ""]
+        for i in range(12):
+            lines.append(f"{i + 1},1,{i}" if i != 10 else "0,1,5")
+            if i % 3 == 2:
+                lines.append("")
+        p = self.write(tmp_path, lines + [""])
+        q = self.write(tmp_path, [line for line in lines if line != "0,1,5"] + ["", ""], "valid.csv")
+        for _ in block_sizes(monkeypatch):
+            with pytest.raises(DatasetLoadError, match="line 16, column 'time': time must be positive"):
+                load_dataset(DatasetSpec(path=p))
+            assert assert_matches_per_token_load(DatasetSpec(path=q)).n_rows == 11
+
+    def test_separator_padded_number(self, tmp_path, monkeypatch):
+        # float() rejects the \x1c-\x1f separators that str.strip() removes.
+        p = self.write(tmp_path, ["time,status,a", "1,1,\x1c2.5\x1f", "2,0, 3 ", "3,1,\x1d4"])
+        for _ in block_sizes(monkeypatch):
+            ds = assert_matches_per_token_load(DatasetSpec(path=p))
+            np.testing.assert_array_equal(ds.covariates[:, 0], [2.5, 3.0, 4.0])
+
+    def test_file_changed_between_passes_is_an_error(self, tmp_path, monkeypatch):
+        p = self.write(tmp_path, ["time,status,grp", "1,1,1", "2,0,2", "3,1,lo"])
+        read_columns = dataio._read_columns
+
+        def edit_before_second_pass(path, plan):
+            if passes:
+                path.write_text(path.read_text() + "4,1,hi\n", encoding="utf-8")
+            passes.append(path)
+            return read_columns(path, plan)
+
+        passes = []
+        monkeypatch.setattr(dataio, "_read_columns", edit_before_second_pass)
+        monkeypatch.setattr(dataio, "_BLOCK_ROWS", 1)
+        with pytest.raises(DatasetLoadError, match="file changed between the two passes"):
+            load_dataset(DatasetSpec(path=p, covariate_cols=("grp",)))
+        assert len(passes) == 2
+
+    def test_load_holds_outputs_plus_one_block(self, tmp_path):
+        # 10^5 rows x 9 columns: the arrays returned take 6.9 MiB; reading the
+        # whole file into per-row token lists first peaked at 71.9 MiB.
+        rng = np.random.default_rng(8)
+        n = 100_000
+        x = np.column_stack([rng.standard_normal((n, 4)), rng.integers(0, 5, (n, 3))])
+        ds = SurvivalDataset(x, rng.random(n) + 0.5, rng.integers(0, 2, n), list("abcdefg"))
+        p = tmp_path / "wide.csv"
+        save_dataset(ds, p)
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            back = load_dataset(DatasetSpec(path=p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        np.testing.assert_array_equal(back.covariates, ds.covariates)
+        assert peak < 24 * 2**20

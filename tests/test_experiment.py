@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -94,3 +95,16 @@ class TestPlotData:
         write_ranking_table(rep, f)
         names = [line.split(",")[0] for line in f.read_text().splitlines()[1:]]
         assert names == rep.ranking.names()
+
+    def test_names_with_delimiter_or_quote_read_back(self, tmp_path):
+        rng = np.random.default_rng(4)
+        ds = SurvivalDataset(rng.standard_normal((200, 3)), rng.random(200) + 0.5,
+                             rng.integers(0, 2, 200), ["a", "b,c", 'd"e'])
+        rep = run_experiment(ds, top_m=2, include_status_ranking=True)
+        f = tmp_path / "rank.csv"
+        write_ranking_table(rep, f)
+        with open(f, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["name", "ce", "ce_with_status"]
+        assert [row[0] for row in rows[1:]] == rep.ranking.names()
+        assert [float(row[1]) for row in rows[1:]] == [e.ce for e in rep.ranking.entries]
