@@ -30,7 +30,7 @@ from .varselect import VariableRanking, rank_variables, select_variables  # noqa
 from .aft import AFTModel, fit, loglik_and_gradient, predict_median  # noqa: E402
 from .metrics import EvalReport, c_index, mae  # noqa: E402
 from .dataio import DatasetSpec, bundled_dataset_spec, load_dataset, save_dataset  # noqa: E402
-from .experiment import ExperimentReport, run_experiment  # noqa: E402
+from .experiment import ExperimentReport, evaluate, run_experiment  # noqa: E402
 
 __all__ = [
     "__version__",
@@ -42,5 +42,5 @@ __all__ = [
     "AFTModel", "fit", "loglik_and_gradient", "predict_median",
     "EvalReport", "c_index", "mae",
     "DatasetSpec", "bundled_dataset_spec", "load_dataset", "save_dataset",
-    "ExperimentReport", "run_experiment",
+    "ExperimentReport", "evaluate", "run_experiment",
 ]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NoEventsError, NonConvergenceError
+from .errors import InvalidInputError, NoEventsError, NonConvergenceError, dataclass_kwargs
 from .survsim import SurvivalDataset
 
 __all__ = ["AFTModel", "fit", "loglik_and_gradient", "predict_median"]
@@ -61,6 +61,16 @@ class AFTModel:
             "iterations": self.iterations,
             "final_gradient_norm": self.final_gradient_norm,
         }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "AFTModel":
+        """Inverse of ``to_dict``; the derived ``scale`` is ignored."""
+        kwargs = dataclass_kwargs(cls, d, ignore=("scale",))
+        coefficients = np.asarray(kwargs.pop("coefficients"), dtype=float)
+        if coefficients.shape != (len(kwargs["included"]),):
+            raise InvalidInputError(
+                f"{coefficients.size} coefficients for {len(kwargs['included'])} covariates")
+        return cls(coefficients=coefficients, **kwargs)
 
 
 def _design(ds: SurvivalDataset, included) -> np.ndarray:

@@ -12,15 +12,13 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .aft import AFTModel, fit, predict_median
+from .aft import AFTModel, fit
 from .copula_entropy import EstimatorConfig
-from .dataio import DatasetSpec, bundled_dataset_spec, load_dataset, save_dataset
+from .dataio import DatasetSpec, bundled_dataset_spec, save_dataset
 from .errors import CesurvError, InvalidInputError, NumericalError
-from .experiment import run_experiment, write_performance_table, write_ranking, write_ranking_table
-from .metrics import EvalReport, c_index, mae
+from .experiment import (dataset_from_source, evaluate, run_experiment, write_performance_table,
+                         write_ranking, write_ranking_table)
 from .survsim import SimConfig, simulate
 from .varselect import rank_variables, select_variables
 
@@ -62,6 +60,24 @@ def _parse_event_value(raw):
         return raw
 
 
+def _read_object(path) -> dict:
+    """The JSON object a settings or model file holds."""
+    with open(path, encoding="utf-8") as fh:
+        d = json.load(fh)
+    if not isinstance(d, dict):
+        raise InvalidInputError(f"{path}: expected a JSON object, got {type(d).__name__}")
+    return d
+
+
+def _sim_config(args) -> SimConfig:
+    """--sim-config (or the defaults), with --seed as default and --n as override."""
+    d = _read_object(args.sim_config) if args.sim_config else {}
+    d.setdefault("seed", args.seed)
+    if getattr(args, "n", None) is not None:
+        d["n_subjects"] = args.n
+    return SimConfig.from_dict(d)
+
+
 def _source_from_args(args):
     given = [s for s in ("data", "bundled", "dataset_spec", "sim_config")
              if getattr(args, s, None)]
@@ -72,24 +88,12 @@ def _source_from_args(args):
     if args.bundled:
         return bundled_dataset_spec(args.bundled)
     if args.dataset_spec:
-        with open(args.dataset_spec, encoding="utf-8") as fh:
-            d = json.load(fh)
-        if d.get("covariate_cols") is None:
-            d.pop("covariate_cols", None)
-        return DatasetSpec.from_dict(d)
+        return DatasetSpec.from_dict(_read_object(args.dataset_spec))
     if args.data:
         cov = tuple(args.covariates.split(",")) if args.covariates else None
-        return DatasetSpec(
-            path=args.data,
-            time_col=args.time_col,
-            status_col=args.status_col,
-            covariate_cols=cov,
-            status_event_value=_parse_event_value(args.event_value),
-        )
-    with open(args.sim_config, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    cfg.setdefault("seed", args.seed)
-    return SimConfig.from_dict(cfg)
+        return DatasetSpec(path=args.data, time_col=args.time_col, status_col=args.status_col,
+                           covariate_cols=cov, status_event_value=_parse_event_value(args.event_value))
+    return _sim_config(args)
 
 
 def _write_text(path, text):
@@ -100,18 +104,10 @@ def _write_text(path, text):
 
 
 def _cmd_simulate(args):
-    if args.sim_config:
-        with open(args.sim_config, encoding="utf-8") as fh:
-            cfg_dict = json.load(fh)
-        cfg_dict.setdefault("seed", args.seed)
-        if args.n is not None:
-            cfg_dict["n_subjects"] = args.n
-        cfg = SimConfig.from_dict(cfg_dict)
-    else:
-        cfg = SimConfig(seed=args.seed, **({"n_subjects": args.n} if args.n else {}))
-    ds = simulate(cfg)
+    cfg = _sim_config(args)
     if not args.out:
         raise InvalidInputError("simulate requires --out FILE for the dataset")
+    ds = simulate(cfg)
     save_dataset(ds, args.out)
     print(f"wrote {ds.n_rows} rows ({ds.n_events} events) to {args.out}")
     return 0
@@ -119,13 +115,9 @@ def _cmd_simulate(args):
 
 def _cmd_select(args):
     cfg = _estimator_cfg(args)
-    source = _source_from_args(args)
-    ds = simulate(source) if isinstance(source, SimConfig) else load_dataset(source)
+    ds = dataset_from_source(_source_from_args(args))
     ranking = rank_variables(ds, with_status=args.with_status, cfg=cfg)
-    result = {
-        "estimator_cfg": cfg.to_dict(),
-        "ranking": ranking.to_dict(),
-    }
+    result = {"estimator_cfg": cfg.to_dict(), "ranking": ranking.to_dict()}
     if args.top is not None:
         result["selected"] = select_variables(ranking, top_m=args.top)
     _write_text(args.out, json.dumps(result, indent=2) + "\n")
@@ -135,8 +127,7 @@ def _cmd_select(args):
 
 
 def _cmd_fit(args):
-    source = _source_from_args(args)
-    ds = simulate(source) if isinstance(source, SimConfig) else load_dataset(source)
+    ds = dataset_from_source(_source_from_args(args))
     included = args.covariates.split(",") if args.covariates else list(ds.names)
     model = fit(ds, included)
     _write_text(args.out, json.dumps({"model": model.to_dict()}, indent=2) + "\n")
@@ -144,37 +135,19 @@ def _cmd_fit(args):
 
 
 def _cmd_evaluate(args):
-    source = _source_from_args(args)
-    ds = simulate(source) if isinstance(source, SimConfig) else load_dataset(source)
-    with open(args.model, encoding="utf-8") as fh:
-        payload = json.load(fh)["model"]
-    model = AFTModel(
-        intercept=payload["intercept"],
-        coefficients=np.asarray(payload["coefficients"], dtype=float),
-        log_scale=payload["log_scale"],
-        included=payload["included"],
-        converged=payload["converged"],
-        iterations=payload["iterations"],
-        final_gradient_norm=payload["final_gradient_norm"],
-    )
-    cols = [ds.names.index(n) for n in model.included]
-    pred = predict_median(model, ds.covariates[:, cols])
-    mae_val, n_events = mae(pred, ds.time, ds.status)
-    c_val, n_pairs = c_index(pred, ds.time, ds.status)
-    report = EvalReport(
-        model_label=args.label, mae=mae_val, c_index=c_val,
-        n_comparable_pairs=n_pairs, n_events_used=n_events,
-    )
+    ds = dataset_from_source(_source_from_args(args))
+    payload = _read_object(args.model)
+    if "model" not in payload:
+        raise InvalidInputError(f"{args.model}: no \"model\" entry")
+    report = evaluate(AFTModel.from_dict(payload["model"]), ds, args.label)
     _write_text(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
     return 0
 
 
 def _cmd_run_experiment(args):
     cfg = _estimator_cfg(args)
-    source = _source_from_args(args)
-    report = run_experiment(
-        source, estimator_cfg=cfg, with_status=args.with_status, top_m=args.top,
-    )
+    report = run_experiment(_source_from_args(args), estimator_cfg=cfg,
+                            with_status=args.with_status, top_m=args.top)
     _write_text(args.out, report.to_json())
     if args.plot_data:
         prefix = Path(args.plot_data)
@@ -197,10 +170,9 @@ def _cmd_reproduce_paper(args):
         (outdir / f"{name}_report.json").write_text(report.to_json(), encoding="utf-8")
         write_ranking_table(report, outdir / f"{name}_ranking.csv")
         write_performance_table(report, outdir / f"{name}_performance.csv")
-        evs = {e.model_label: e for e in report.evaluations}
         print(f"{name}: selected {report.selected}")
-        for label, ev in evs.items():
-            print(f"  {label:12s} mae {ev.mae:10.3f}  c-index {ev.c_index:.4f}")
+        for ev in report.evaluations:
+            print(f"  {ev.model_label:12s} mae {ev.mae:10.3f}  c-index {ev.c_index:.4f}")
     print(f"reports and plot data written to {outdir}/")
     return 0
 

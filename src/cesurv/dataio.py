@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetLoadError, InvalidInputError
+from .errors import DatasetLoadError, InvalidInputError, dataclass_kwargs
 from .survsim import SurvivalDataset
 
 __all__ = ["DatasetSpec", "load_dataset", "save_dataset", "bundled_dataset_spec", "BUNDLED_DATASETS"]
@@ -85,11 +85,7 @@ class DatasetSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
-        if extra:
-            raise InvalidInputError(f"unknown DatasetSpec fields: {sorted(extra)}")
-        return cls(**d)
+        return cls(**dataclass_kwargs(cls, d))
 
 
 # Column layouts for the two bundled benchmark datasets.  The lung-cancer

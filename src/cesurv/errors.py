@@ -2,8 +2,11 @@
 
 Invalid inputs (bad shapes, unloadable files) map to CLI exit code 2;
 numerical failures (non-convergence, undefined metrics, degenerate
-likelihoods) map to exit code 3.
+likelihoods) map to exit code 3.  ``dataclass_kwargs`` is the field check
+shared by every ``from_dict``.
 """
+
+from dataclasses import MISSING
 
 __all__ = [
     "CesurvError",
@@ -13,6 +16,7 @@ __all__ = [
     "NoEventsError",
     "NonConvergenceError",
     "UndefinedMetricError",
+    "dataclass_kwargs",
 ]
 
 
@@ -47,3 +51,21 @@ class NonConvergenceError(NumericalError):
 
 class UndefinedMetricError(NumericalError):
     """Metric has an empty denominator (no events / no comparable pairs)."""
+
+
+def dataclass_kwargs(cls, d, ignore=()) -> dict:
+    """Keyword arguments of dataclass ``cls`` from mapping ``d``, less ``ignore``.
+
+    Raises InvalidInputError for a non-mapping, an unknown key or a missing required field.
+    """
+    if not isinstance(d, dict):
+        raise InvalidInputError(f"{cls.__name__} fields must be a JSON object, got {type(d).__name__}")
+    fields = cls.__dataclass_fields__
+    extra = set(d) - set(fields) - set(ignore)
+    if extra:
+        raise InvalidInputError(f"unknown {cls.__name__} fields: {sorted(extra)}")
+    missing = [n for n, f in fields.items()
+               if n not in d and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise InvalidInputError(f"missing {cls.__name__} fields: {missing}")
+    return {n: d[n] for n in fields if n in d}

@@ -9,6 +9,7 @@ bodies apart from the timestamp field).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime
 import hashlib
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .aft import AFTModel, fit, predict_median
+from .aft import AFTModel, _design, fit, predict_median
 from .copula_entropy import EstimatorConfig
 from .dataio import DatasetSpec, load_dataset
 from .errors import CesurvError, InvalidInputError
@@ -28,6 +29,8 @@ from .varselect import VariableRanking, rank_variables, select_variables
 
 __all__ = [
     "ExperimentReport",
+    "dataset_from_source",
+    "evaluate",
     "run_experiment",
     "write_ranking",
     "write_ranking_table",
@@ -87,47 +90,54 @@ class ExperimentReport:
         return json.dumps(self.to_dict(timestamp=timestamp), indent=2) + "\n"
 
 
+@contextlib.contextmanager
 def _stage(name):
     """Tag errors escaping a pipeline stage with the stage name."""
-    class _StageContext:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, CesurvError) and exc.args:
-                exc.args = (f"[{name}] {exc.args[0]}",) + exc.args[1:]
-            return False
-
-    return _StageContext()
+    try:
+        yield
+    except CesurvError as exc:
+        if exc.args:
+            exc.args = (f"[{name}] {exc.args[0]}",) + exc.args[1:]
+        raise
 
 
-def _dataset_from_source(source, provenance):
+def dataset_from_source(source) -> SurvivalDataset:
+    """Simulate a SimConfig, load a DatasetSpec or pass a SurvivalDataset through."""
     if isinstance(source, SimConfig):
-        with _stage("simulate"):
-            ds = simulate(source)
-        cfg_json = json.dumps(source.to_dict(), sort_keys=True).encode()
-        provenance["input_sha256"] = hashlib.sha256(cfg_json).hexdigest()
-        provenance["sim_seed"] = source.seed
-        provenance["source"] = {"kind": "simulation", "sim_config": source.to_dict()}
-    elif isinstance(source, DatasetSpec):
-        with _stage("load"):
-            ds = load_dataset(source)
-        provenance["input_sha256"] = ds.attrs["source_sha256"]
-        provenance["source"] = {"kind": "file", "dataset_spec": source.to_dict()}
-    elif isinstance(source, SurvivalDataset):
-        ds = source
-        provenance["input_sha256"] = hashlib.sha256(
-            np.ascontiguousarray(ds.covariates).tobytes()
-            + np.ascontiguousarray(ds.time).tobytes()
-            + np.ascontiguousarray(ds.status).tobytes()
-        ).hexdigest()
-        provenance["source"] = {"kind": "in-memory"}
-    else:
-        raise InvalidInputError(
-            f"experiment source must be SimConfig, DatasetSpec or SurvivalDataset, "
-            f"got {type(source).__name__}"
-        )
-    return ds
+        return simulate(source)
+    if isinstance(source, DatasetSpec):
+        return load_dataset(source)
+    if isinstance(source, SurvivalDataset):
+        return source
+    raise InvalidInputError(
+        f"experiment source must be SimConfig, DatasetSpec or SurvivalDataset, "
+        f"got {type(source).__name__}"
+    )
+
+
+def _provenance(source, ds: SurvivalDataset) -> dict:
+    """Input digest and source description of a report."""
+    if isinstance(source, SimConfig):
+        cfg = source.to_dict()
+        return {"input_sha256": hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest(),
+                "sim_seed": source.seed, "source": {"kind": "simulation", "sim_config": cfg}}
+    if isinstance(source, DatasetSpec):
+        return {"input_sha256": ds.attrs["source_sha256"],
+                "source": {"kind": "file", "dataset_spec": source.to_dict()}}
+    arrays = (ds.covariates, ds.time, ds.status)
+    digest = hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays))
+    return {"input_sha256": digest.hexdigest(), "source": {"kind": "in-memory"}}
+
+
+def evaluate(model: AFTModel, ds: SurvivalDataset, label: str) -> EvalReport:
+    """MAE and C-index of the model's conditional medians on ``ds``."""
+    pred = predict_median(model, _design(ds, model.included))
+    mae_val, n_events = mae(pred, ds.time, ds.status)
+    c_val, n_pairs = c_index(pred, ds.time, ds.status)
+    return EvalReport(
+        model_label=label, mae=mae_val, c_index=c_val,
+        n_comparable_pairs=n_pairs, n_events_used=n_events,
+    )
 
 
 def run_experiment(
@@ -143,11 +153,13 @@ def run_experiment(
     ``source`` is a SimConfig (simulate), DatasetSpec (load a file) or an
     in-memory SurvivalDataset.  Selection uses ``top_m`` or ``threshold``.
     """
+    with _stage("simulate" if isinstance(source, SimConfig) else "load"):
+        ds = dataset_from_source(source)
     provenance = {
         "tool_version": __version__,
         "jitter_seed": estimator_cfg.jitter_seed,
+        **_provenance(source, ds),
     }
-    ds = _dataset_from_source(source, provenance)
 
     with _stage("rank"):
         ranking = rank_variables(ds, with_status=with_status, cfg=estimator_cfg)
@@ -160,27 +172,12 @@ def run_experiment(
         selected = select_variables(ranking, top_m=top_m, threshold=threshold)
         policy = {"top_m": top_m} if top_m is not None else {"threshold": threshold}
 
-    models = []
     with _stage("fit"):
-        models.append((FULL_MODEL_LABEL, fit(ds, list(ds.names))))
-        models.append((SELECTED_MODEL_LABEL, fit(ds, selected)))
+        models = [(FULL_MODEL_LABEL, fit(ds, list(ds.names))),
+                  (SELECTED_MODEL_LABEL, fit(ds, selected))]
 
-    evaluations = []
     with _stage("evaluate"):
-        for label, model in models:
-            cols = [ds.names.index(n) for n in model.included]
-            pred = predict_median(model, ds.covariates[:, cols])
-            mae_val, n_events = mae(pred, ds.time, ds.status)
-            c_val, n_pairs = c_index(pred, ds.time, ds.status)
-            evaluations.append(
-                EvalReport(
-                    model_label=label,
-                    mae=mae_val,
-                    c_index=c_val,
-                    n_comparable_pairs=n_pairs,
-                    n_events_used=n_events,
-                )
-            )
+        evaluations = [evaluate(model, ds, label) for label, model in models]
 
     summary = {
         "n_rows": ds.n_rows,
@@ -211,16 +208,15 @@ def _fmt(value) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def _write_table(path, header, rows, delimiter: str) -> None:
-    """One plot-data table; csv.writer quotes a name holding a delimiter or quote."""
+def _write_table(path, header, rows) -> None:
+    """One plot-data table; csv.writer quotes a name holding a comma or quote."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def write_ranking(ranking: VariableRanking, path, ranking_with_status: VariableRanking = None,
-                  delimiter: str = ",") -> None:
+def write_ranking(ranking: VariableRanking, path, ranking_with_status: VariableRanking = None) -> None:
     """Bar-chart data: one (name, ce[, ce_with_status]) row per covariate."""
     header = ["name", "ce"]
     rows = [[e.name, _fmt(e.ce)] for e in ranking.entries]
@@ -229,15 +225,15 @@ def write_ranking(ranking: VariableRanking, path, ranking_with_status: VariableR
         by_name = {e.name: e for e in ranking_with_status.entries}
         for row in rows:
             row.append(_fmt(by_name[row[0]].ce))
-    _write_table(path, header, rows, delimiter)
+    _write_table(path, header, rows)
 
 
-def write_ranking_table(report: ExperimentReport, path, delimiter: str = ",") -> None:
+def write_ranking_table(report: ExperimentReport, path) -> None:
     """The ranking table of a report, with CE2 beside CE1 when it has both."""
-    write_ranking(report.ranking, path, report.ranking_with_status, delimiter)
+    write_ranking(report.ranking, path, report.ranking_with_status)
 
 
-def write_performance_table(report: ExperimentReport, path, delimiter: str = ",") -> None:
+def write_performance_table(report: ExperimentReport, path) -> None:
     """Bar-chart data: one (model_label, mae, c_index) row per model."""
     rows = [[ev.model_label, _fmt(ev.mae), _fmt(ev.c_index)] for ev in report.evaluations]
-    _write_table(path, ["model_label", "mae", "c_index"], rows, delimiter)
+    _write_table(path, ["model_label", "mae", "c_index"], rows)

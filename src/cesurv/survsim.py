@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, dataclass_kwargs
 
 __all__ = ["SimConfig", "SurvivalDataset", "simulate", "REFERENCE_PARAMS"]
 
@@ -83,11 +83,7 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
-        if extra:
-            raise InvalidInputError(f"unknown SimConfig fields: {sorted(extra)}")
-        return cls(**d)
+        return cls(**dataclass_kwargs(cls, d))
 
 
 @dataclass

@@ -216,3 +216,59 @@ class TestPredictMedian:
         for bad in (np.zeros((4, 3)), np.zeros((4, 1)), np.zeros((2, 2, 2))):
             with pytest.raises(InvalidInputError):
                 predict_median(m, bad)
+
+
+class TestFromDict:
+    def fitted(self):
+        ds = load_dataset(bundled_dataset_spec("veteran"))
+        return fit(ds, ["karno", "age", "celltype", "diagtime"])
+
+    def assert_bitwise_equal(self, a, b):
+        assert a.coefficients.dtype == b.coefficients.dtype == np.float64
+        assert a.coefficients.tobytes() == b.coefficients.tobytes()
+        for name in ("intercept", "log_scale", "included", "converged", "iterations",
+                     "final_gradient_norm"):
+            assert getattr(a, name) == getattr(b, name)
+            assert type(getattr(a, name)) is type(getattr(b, name))
+        assert math.copysign(1.0, a.intercept) == math.copysign(1.0, b.intercept)
+
+    def test_round_trips_bitwise(self):
+        m = self.fitted()
+        self.assert_bitwise_equal(AFTModel.from_dict(m.to_dict()), m)
+
+    def test_round_trips_through_json(self):
+        import json
+
+        m = self.fitted()
+        self.assert_bitwise_equal(AFTModel.from_dict(json.loads(json.dumps(m.to_dict()))), m)
+
+    def test_scale_is_derived_not_read(self):
+        m = self.fitted()
+        d = m.to_dict()
+        d["scale"] = 123.0
+        assert AFTModel.from_dict(d).scale == m.scale
+        del d["scale"]
+        assert AFTModel.from_dict(d).scale == m.scale
+
+    @pytest.mark.parametrize("key", ["intercept", "coefficients", "log_scale", "included",
+                                     "converged", "iterations", "final_gradient_norm"])
+    def test_rejects_missing_field(self, key):
+        d = self.fitted().to_dict()
+        del d[key]
+        with pytest.raises(InvalidInputError, match=f"missing AFTModel fields: \\['{key}'\\]"):
+            AFTModel.from_dict(d)
+
+    def test_rejects_unknown_field(self):
+        d = {**self.fitted().to_dict(), "stop_reason": "gradient"}
+        with pytest.raises(InvalidInputError, match=r"unknown AFTModel fields: \['stop_reason'\]"):
+            AFTModel.from_dict(d)
+
+    def test_rejects_coefficient_count_mismatch(self):
+        d = self.fitted().to_dict()
+        d["coefficients"] = d["coefficients"][:-1]
+        with pytest.raises(InvalidInputError, match="3 coefficients for 4 covariates"):
+            AFTModel.from_dict(d)
+
+    def test_rejects_non_mapping(self):
+        with pytest.raises(InvalidInputError, match="must be a JSON object, got list"):
+            AFTModel.from_dict([1, 2])

@@ -137,3 +137,80 @@ class TestReproducePaperCommand:
             assert json.dumps(a) == json.dumps(b)
             assert (d1 / f"{name}_ranking.csv").exists()
             assert (d1 / f"{name}_performance.csv").exists()
+
+
+class TestSimulateArguments:
+    def test_n_zero_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        assert run("simulate", "--n", "0", "--out", str(out)) == 2
+        assert "n_subjects must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_out_exits_before_simulating(self, monkeypatch):
+        import cesurv.cli as cli
+
+        def no_simulation(cfg):
+            raise AssertionError("simulated before checking --out")
+
+        monkeypatch.setattr(cli, "simulate", no_simulation)
+        assert run("simulate", "--n", "3000000") == 2
+
+
+class TestJsonInputs:
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--sim-config", "{file}", "--out", "{tmp}/sim.csv"),
+        ("select", "--sim-config", "{file}"),
+        ("select", "--dataset-spec", "{file}"),
+        ("fit", "--dataset-spec", "{file}"),
+        ("run-experiment", "--sim-config", "{file}", "--top", "2"),
+        ("evaluate", "--bundled", "veteran", "--model", "{file}"),
+    ])
+    @pytest.mark.parametrize("content", ["[1, 2]", "null"])
+    def test_non_object_exit_2(self, tmp_path, capsys, argv, content):
+        f = tmp_path / "input.json"
+        f.write_text(content)
+        assert run(*(a.format(file=f, tmp=tmp_path) for a in argv)) == 2
+        assert "expected a JSON object" in capsys.readouterr().err
+
+
+class TestEvaluateModelFile:
+    def fitted_model(self, tmp_path):
+        path = tmp_path / "model.json"
+        assert run("fit", "--bundled", "veteran", "--out", str(path)) == 0
+        return path, json.loads(path.read_text())
+
+    def test_without_model_entry_exit_2(self, tmp_path, capsys):
+        path, payload = self.fitted_model(tmp_path)
+        path.write_text(json.dumps(payload["model"]))
+        assert run("evaluate", "--bundled", "veteran", "--model", str(path)) == 2
+        assert 'no "model" entry' in capsys.readouterr().err
+
+    def test_missing_field_exit_2(self, tmp_path, capsys):
+        path, payload = self.fitted_model(tmp_path)
+        del payload["model"]["log_scale"]
+        path.write_text(json.dumps(payload))
+        assert run("evaluate", "--bundled", "veteran", "--model", str(path)) == 2
+        assert "missing AFTModel fields: ['log_scale']" in capsys.readouterr().err
+
+    def test_covariate_absent_from_data_exit_2(self, tmp_path, capsys):
+        path, payload = self.fitted_model(tmp_path)
+        payload["model"]["included"][0] = "zz"
+        path.write_text(json.dumps(payload))
+        assert run("evaluate", "--bundled", "veteran", "--model", str(path)) == 2
+        assert "covariates not in dataset: ['zz']" in capsys.readouterr().err
+
+
+class TestPathsAgree:
+    @pytest.mark.parametrize("name", ["veteran", "cancer"])
+    def test_fit_then_evaluate_equals_run_experiment_full(self, tmp_path, name):
+        model, ev, rep = tmp_path / "model.json", tmp_path / "ev.json", tmp_path / "rep.json"
+        assert run("fit", "--bundled", name, "--out", str(model)) == 0
+        assert run("evaluate", "--bundled", name, "--model", str(model), "--label", "full",
+                   "--out", str(ev)) == 0
+        assert run("run-experiment", "--bundled", name, "--top", "4", "--out", str(rep)) == 0
+        body = json.loads(rep.read_text())
+        full = [e for e in body["evaluations"] if e["model_label"] == "full"]
+        assert json.loads(ev.read_text()) == full[0]
+        assert json.loads(model.read_text())["model"] == {
+            k: v for k, v in body["models"][0].items() if k != "label"
+        }

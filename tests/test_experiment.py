@@ -108,3 +108,37 @@ class TestPlotData:
         assert rows[0] == ["name", "ce", "ce_with_status"]
         assert [row[0] for row in rows[1:]] == rep.ranking.names()
         assert [float(row[1]) for row in rows[1:]] == [e.ce for e in rep.ranking.entries]
+
+
+class TestEvaluate:
+    def test_matches_run_experiment_evaluations(self):
+        from cesurv.experiment import dataset_from_source, evaluate
+
+        source = bundled_dataset_spec("cancer")
+        rep = run_experiment(source, top_m=3)
+        ds = dataset_from_source(source)
+        got = [evaluate(model, ds, label) for label, model in rep.models]
+        assert [ev.to_dict() for ev in got] == [ev.to_dict() for ev in rep.evaluations]
+
+    def test_missing_covariate_is_invalid_input(self):
+        from cesurv.aft import fit
+        from cesurv.experiment import evaluate
+        from cesurv.survsim import simulate
+
+        model = fit(simulate(SimConfig(seed=7, n_subjects=200)), ["x1", "x2"])
+        rng = np.random.default_rng(1)
+        ds = SurvivalDataset(rng.standard_normal((50, 2)), rng.random(50) + 0.5,
+                             rng.integers(0, 2, 50), ["x1", "zz"])
+        with pytest.raises(InvalidInputError, match=r"covariates not in dataset: \['x2'\]"):
+            evaluate(model, ds, "m")
+
+    def test_source_resolver_is_untagged_and_run_experiment_tags(self, tmp_path):
+        from cesurv.experiment import dataset_from_source
+
+        spec = DatasetSpec(path=tmp_path / "missing.csv")
+        with pytest.raises(DatasetLoadError) as untagged:
+            dataset_from_source(spec)
+        with pytest.raises(DatasetLoadError) as tagged:
+            run_experiment(spec, top_m=1)
+        assert str(untagged.value).startswith("dataset file not found")
+        assert str(tagged.value) == "[load] " + str(untagged.value)
