@@ -41,7 +41,7 @@ class AFTModel:
     intercept: float
     coefficients: np.ndarray
     log_scale: float
-    included: list
+    included: list[str]
     converged: bool
     iterations: int
     final_gradient_norm: float

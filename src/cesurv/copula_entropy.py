@@ -135,38 +135,46 @@ _JITTER_STREAM_TAG = 0x9E3779B97F4A7C15
 def _column_stream(col: np.ndarray, cfg: EstimatorConfig) -> np.random.Generator:
     """The tie-break stream of one column, keyed on its tie pattern.
 
-    The key hashes the column's dense ranks, which strictly increasing
-    transforms leave unchanged and which do not depend on the column's
-    position, so neither changes the stream.  ``hash()`` is salted per
-    process and would break run-to-run reproducibility, hence blake2b.
+    The key hashes the column's dense ranks (0 for its smallest value, one
+    more for each larger distinct value) as little-endian int64, which
+    strictly increasing transforms leave unchanged and which do not depend
+    on the column's position, so neither changes the stream.  ``hash()`` is
+    salted per process and would break run-to-run reproducibility, hence
+    blake2b.
     """
-    dense = np.unique(col, return_inverse=True)[1]
-    digest = hashlib.blake2b(dense.astype("<i8").tobytes(), digest_size=8).digest()
-    key = int.from_bytes(digest, "little")
+    order = np.argsort(col)
+    ranked = col[order]
+    steps = np.empty(col.size, dtype="<i8")
+    steps[:1] = 0
+    np.not_equal(ranked[1:], ranked[:-1], out=steps[1:])
+    del ranked
+    dense = np.empty_like(steps)
+    dense[order] = np.cumsum(steps, out=steps)
+    key = int.from_bytes(hashlib.blake2b(dense, digest_size=8).digest(), "little")
     return np.random.default_rng((_JITTER_STREAM_TAG, cfg.jitter_seed, key))
 
 
-def _tie_break(x: np.ndarray, cfg: EstimatorConfig) -> tuple:
-    """Perturb x so ranking is unambiguous, deterministically in jitter_seed.
+def _tie_break(col: np.ndarray, cfg: EstimatorConfig) -> tuple:
+    """Perturb one column so ranking is unambiguous, deterministically in jitter_seed.
 
-    The offset for row i of column j is tie_jitter * std_j * u_ij, with the
-    u_ij of each column drawn from that column's own stream
-    (``_column_stream``).  Tied blocks in different columns are therefore
-    ordered independently of each other, as randomized tie-breaking of
-    discrete margins requires (Genest & Neslehova, "A primer on copulas for
-    count data", ASTIN Bulletin 37(2), 2007).  A stream shared across
-    columns would order every tied block by the same u_i, put the copula
-    points of tied rows on a diagonal, and read as dependence.
+    The offset for row i is tie_jitter * std * u_i, with the u_i drawn from
+    the column's own stream (``_column_stream``).  Tied blocks in different
+    columns are therefore ordered independently of each other, as
+    randomized tie-breaking of discrete margins requires (Genest &
+    Neslehova, "A primer on copulas for count data", ASTIN Bulletin 37(2),
+    2007).  A stream shared across columns would order every tied block by
+    the same u_i, put the copula points of tied rows on a diagonal, and read
+    as dependence.
 
     Returns the perturbed values and the draws u.  Where the offset is
-    below the spacing of floats at a column's values, perturbed values
+    below the spacing of floats at the column's values, perturbed values
     still collide, so the ranking orders by u after the value.
     """
-    n = x.shape[0]
-    u = np.column_stack([_column_stream(col, cfg).random(n) for col in x.T])
-    scale = x.std(axis=0)
-    scale[scale == 0.0] = 1.0
-    return x + cfg.tie_jitter * scale[None, :] * u, u
+    draws = _column_stream(col, cfg).random(col.size)
+    scale = col.std()
+    perturbed = draws * (cfg.tie_jitter * (scale if scale != 0.0 else 1.0))
+    perturbed += col
+    return perturbed, draws
 
 
 def empirical_copula(x, cfg: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
@@ -179,16 +187,16 @@ def empirical_copula(x, cfg: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
     value, jitter draw): the value's rounding is monotone in the draw, so
     a block whose jitter rounds away is ordered as if it had not, and never
     falls back to row order, which every column would share.  Output
-    entries lie in (0, 1].
+    entries lie in (0, 1].  Columns are handled one at a time, so the
+    scratch memory is a few columns whatever the width.
     """
     x = as_sample_matrix(x)
-    n = x.shape[0]
-    xp, u = _tie_break(x, cfg)
-    ranks = np.empty(x.shape, dtype=np.intp)
-    rows = np.arange(1, n + 1)
-    for j in range(x.shape[1]):
-        ranks[_value_draw_order(xp[:, j], u[:, j]), j] = rows
-    return ranks / float(n)
+    n, d = x.shape
+    out = np.empty((n, d))
+    levels = np.arange(1, n + 1) / float(n)
+    for j in range(d):
+        out[_value_draw_order(*_tie_break(x[:, j], cfg)), j] = levels
+    return out
 
 
 def _value_draw_order(values: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -196,8 +204,9 @@ def _value_draw_order(values: np.ndarray, draws: np.ndarray) -> np.ndarray:
 
     A stable sort by value leaves each run of equal values in row order;
     only the rows of such runs, a small share once the jitter is added, are
-    then sorted by (run, draw), stably, so rows equal in both keep row order
-    as in the lexsort.
+    then sorted by (value, draw), stably, so rows equal in both keep row
+    order as in the lexsort.  The sorted values are freed before that sort,
+    so it holds the order plus arrays the size of the runs.
     """
     order = np.argsort(values, kind="stable")
     ranked = values[order]
@@ -207,10 +216,13 @@ def _value_draw_order(values: np.ndarray, draws: np.ndarray) -> np.ndarray:
     in_run = np.zeros(order.size, dtype=bool)
     in_run[1:] = tied
     in_run[:-1] |= tied
-    run = np.cumsum(np.concatenate(([True], ~tied)))
+    del tied
     pos = np.flatnonzero(in_run)
+    del in_run
+    run_values = ranked[pos]
+    del ranked
     members = order[pos]
-    order[pos] = members[np.lexsort((draws[members], run[pos]))]
+    order[pos] = members[np.lexsort((draws[members], run_values))]
     return order
 
 
@@ -244,6 +256,33 @@ def _log_unit_diameter_ball_volume(d: int, norm: str) -> float:
     return 0.5 * d * math.log(math.pi) - d * math.log(2.0) - math.lgamma(0.5 * d + 1.0)
 
 
+# Rows per block of the boundary-corrected sum: its temporaries are
+# _WIDTH_BLOCK_ROWS x d, however many rows the sample has.
+_WIDTH_BLOCK_ROWS = 4096
+
+
+def _log_clipped_widths(u: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Per row, the sum over columns of log(min(u + r, 1) - max(u - r, 0)).
+
+    Computed in row blocks of a C-order ``u`` with the whole-matrix
+    expression, so each row's sum is bitwise the one of the whole matrix:
+    numpy adds a row of fewer than 8 columns left to right but a longer one
+    pairwise, which a column loop would not reproduce.  A block of one row
+    would be summed pairwise whatever the layout of ``u``, hence the copy of
+    a matrix that is not C-order.
+    """
+    u = np.ascontiguousarray(u)
+    total = np.empty(u.shape[0])
+    for start in range(0, u.shape[0], _WIDTH_BLOCK_ROWS):
+        rows = slice(start, start + _WIDTH_BLOCK_ROWS)
+        block, radius = u[rows], r[rows, None]
+        widths = np.minimum(block + radius, 1.0)
+        widths -= np.maximum(block - radius, 0.0)
+        np.log(widths, out=widths)
+        np.sum(widths, axis=1, out=total[rows])
+    return total
+
+
 def knn_entropy(u, cfg: EstimatorConfig = EstimatorConfig(), unit_support: bool = False) -> float:
     """Kozachenko-Leonenko entropy estimate in nats.
 
@@ -260,13 +299,13 @@ def knn_entropy(u, cfg: EstimatorConfig = EstimatorConfig(), unit_support: bool 
     n, d = u.shape
     if n <= cfg.k:
         raise InvalidInputError(f"need more than k={cfg.k} rows, got {n}")
-    eps = 2.0 * _kth_nn_distance(u, cfg.k, cfg.norm)
-    eps = np.maximum(eps, _EPS_FLOOR)
+    eps = _kth_nn_distance(u, cfg.k, cfg.norm)
+    eps *= 2.0
+    np.maximum(eps, _EPS_FLOOR, out=eps)
     base = -digamma(float(cfg.k)) + digamma(float(n))
     if unit_support and cfg.boundary_correction and cfg.norm == "max":
-        r = eps[:, None] / 2.0
-        widths = np.minimum(u + r, 1.0) - np.maximum(u - r, 0.0)
-        return base + float(np.log(widths).sum(axis=1).mean())
+        eps /= 2.0
+        return base + float(_log_clipped_widths(u, eps).mean())
     log_sum = float(np.log(eps).sum())
     return base + _log_unit_diameter_ball_volume(d, cfg.norm) + (d / n) * log_sum
 

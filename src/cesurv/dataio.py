@@ -11,16 +11,19 @@ counts and transposed, and each column the spec can use is kept in one of
 two forms: a numeric column is parsed straight into float64 (NaN where
 missing) with a missing mask, and a text column keeps its stripped tokens;
 a column only screened for missing values keeps the mask alone, and a
-column the spec cannot use is not parsed.  The block's tokens are then
-dropped, so a load holds its output arrays plus one block.  Values follow
-Python ``float`` semantics.  A column that turns out to be text after some
-numeric blocks is read again in a second pass, as tokens from the start.
-Saving formats blocks of rows column by column with the same rule as a
-per-value loop, so the bytes are unchanged.
+column the spec cannot use is not parsed.  The numbers of all columns go
+into one C-order row buffer sized from the file's line count, which then
+becomes the covariate matrix in place; the block's tokens are dropped, so
+a load holds its output arrays plus the time and status columns and one
+block.  Values follow Python ``float`` semantics.  A column that turns out
+to be text after some numeric blocks is read again in a second pass, as
+tokens from the start.  Saving formats blocks of rows column by column
+with the same rule as a per-value loop.
 """
 
 from __future__ import annotations
 
+import bisect
 import collections
 import csv
 import gc
@@ -55,10 +58,10 @@ class DatasetSpec:
     path: str
     time_col: str = "time"
     status_col: str = "status"
-    covariate_cols: tuple = None
+    covariate_cols: tuple[str, ...] | None = None
     na_policy: str = "drop_rows"
     status_event_value: object = 1
-    na_screen_cols: tuple = ()
+    na_screen_cols: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.time_col == self.status_col:
@@ -125,8 +128,10 @@ def _parse_float(token: str):
 
 
 # csv records read, or rows formatted, per block: the per-row Python objects
-# of a block are freed before the next block is read.
-_BLOCK_ROWS = 8192
+# of a block are freed before the next block is read.  Blocks of 1024 to
+# 8192 rows save and load 10^5 rows equally fast; smaller blocks hold fewer
+# strings at once.
+_BLOCK_ROWS = 1024
 
 # How a column is kept while the file streams past: float64 values with a
 # missing mask, stripped tokens, the missing mask alone, or nothing.
@@ -193,37 +198,36 @@ class _Column:
     column with a present token that is not a number turns to ``fallback``.
     One that turns to ``_TOKENS`` after number blocks has lost the tokens of
     those blocks: it is marked ``late``, kept no further, and read again.
-    After ``finish``, ``values`` (number mode), ``tokens`` (tokens mode) and
-    ``mask`` (missing rows, or None) cover every record of the file.
+    A number column's values go to the row buffer (``_Rows``); an explicit
+    ``covariate`` keeps its slot there in every mode.  After ``finish``,
+    ``tokens`` (tokens mode) and ``mask`` (missing rows, or None) cover
+    every record of the file.
     """
 
-    def __init__(self, mode, fallback=_SKIP):
-        self.mode, self.fallback, self.late = mode, fallback, False
-        self.values, self.masks, self.tokens = [], [], []
+    def __init__(self, mode, fallback=_SKIP, covariate=False):
+        self.mode, self.fallback, self.covariate, self.late = mode, fallback, covariate, False
+        self.masks, self.tokens = [], []
         self.mask = None
 
-    def add(self, raw) -> None:
-        """Keep one block of raw tokens."""
+    def add(self, raw):
+        """Keep one block of raw tokens; in number mode, return its float64 values."""
         if self.mode == _NUMBER:
             parsed = _parse_block(raw)
             if parsed is not None:
-                self.values.append(parsed[0])
                 self.masks.append(parsed[1])
-                return
-            self.late = self.fallback == _TOKENS and bool(self.values)
+                return parsed[0]
+            self.late = self.fallback == _TOKENS and bool(self.masks)
             self.mode = _SKIP if self.late else self.fallback
-            self.values = []
             if self.mode != _MASK:
                 self.masks = []
         if self.mode == _TOKENS:
             self.tokens.extend(map(str.strip, raw))
         elif self.mode == _MASK:
             self.masks.append(_missing_mask(list(map(str.strip, raw))))
+        return None
 
     def finish(self, sizes) -> None:
-        """Join the blocks, whose record counts are ``sizes``."""
-        if self.mode == _NUMBER:
-            self.values = np.concatenate(self.values) if self.values else np.empty(0)
+        """Join the blocks' masks, whose record counts are ``sizes``."""
         if self.mode == _TOKENS:
             self.mask = _missing_mask(self.tokens)
         elif any(m is not None for m in self.masks):
@@ -233,8 +237,99 @@ class _Column:
         self.masks = None
 
 
+class _Rows:
+    """The number columns of a file in one C-order float64 buffer, a row per record.
+
+    The first block fixes the width: each column still kept as numbers
+    there, and each explicit covariate, gets a column of the buffer
+    (``slots``).  The length starts at ``capacity``, the file's line count,
+    and grows only when the file holds more records than that (lines ended
+    by a lone CR, or a file that grew during the read).
+    """
+
+    def __init__(self, capacity):
+        self.capacity, self.n, self.slots, self.buf = capacity, 0, None, None
+
+    def add(self, block, size) -> None:
+        """Append one block of ``size`` records: (name, column, numbers or None) per column."""
+        if self.buf is None:
+            names = [name for name, column, values in block if values is not None or column.covariate]
+            self.slots = {name: i for i, name in enumerate(names)}
+            self.buf = np.empty((max(self.capacity, size), len(names)))
+        elif self.n + size > len(self.buf):
+            self.buf.resize((max(2 * len(self.buf), self.n + size), len(self.slots)), refcheck=False)
+        for name, _, values in block:
+            if values is not None:
+                self.buf[self.n:self.n + size, self.slots[name]] = values
+        self.n += size
+
+    def column(self, name, rows) -> np.ndarray:
+        """A view, or for an index array a copy, of one column's ``rows``."""
+        return self.buf[rows, self.slots[name]]
+
+    def put(self, name, rows, values) -> None:
+        """Write one column's ``rows``."""
+        self.buf[rows, self.slots[name]] = values
+
+    def take(self, kept, names) -> np.ndarray:
+        """``buf[kept][:, slots of names]`` as a C-order matrix, built in place.
+
+        ``kept`` (increasing record indices, or None for every record) is
+        copied a block at a time into the front of the buffer, which is
+        then shrunk to the matrix: each block of output rows lands before
+        the buffer rows still to be read, since the matrix is no wider than
+        the buffer.  A matrix wider than the buffer (a covariate named
+        twice) is copied instead.  The buffer is not usable afterwards.
+        """
+        n = self.n if kept is None else kept.size
+        cols = [self.slots[name] for name in names]
+        if not cols or len(cols) > self.buf.shape[1]:
+            return np.ascontiguousarray(self.buf[slice(0, n) if kept is None else kept][:, cols])
+        d, flat = len(cols), self.buf.reshape(-1)
+        for start in range(0, n, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n)
+            block = self.buf[start:stop] if kept is None else self.buf[kept[start:stop]]
+            flat[start * d:stop * d] = block[:, cols].ravel()
+        del flat
+        matrix, self.buf = self.buf, None
+        matrix.resize((n, d), refcheck=False)
+        return matrix
+
+
+class _LineNumbers:
+    """The line number of each csv record, the header being line 1.
+
+    Kept per block: a ``range`` for a block without blank lines, the
+    numbers themselves for a block with some.
+    """
+
+    def __init__(self):
+        self.blocks, self.starts = [], [0]
+
+    def add(self, numbers) -> None:
+        self.blocks.append(numbers)
+        self.starts.append(self.starts[-1] + len(numbers))
+
+    def __len__(self) -> int:
+        return self.starts[-1]
+
+    def __getitem__(self, i):
+        block = bisect.bisect_right(self.starts, i) - 1
+        return self.blocks[block][i - self.starts[block]]
+
+
+def _line_count(p: Path) -> int:
+    """Lines of a file below its first, an upper bound on its csv records."""
+    newlines, last = 0, b"\n"
+    with open(p, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            newlines += chunk.count(b"\n")
+            last = chunk[-1:]
+    return max(newlines + (last != b"\n") - 1, 0)
+
+
 def _read_table(path, plan) -> tuple:
-    """Header, record line numbers, kept columns and sha256 of a file.
+    """Header, record line numbers, kept columns, row buffer and sha256 of a file.
 
     ``plan(header)`` maps the name of each column to keep to a fresh
     ``_Column``.  The file is read in blocks of ``_BLOCK_ROWS`` csv records
@@ -252,17 +347,17 @@ def _read_table(path, plan) -> tuple:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        header, linenos, columns, sha = _read_columns(p, plan)
+        header, linenos, columns, numbers, sha = _read_columns(p, plan)
         late = [name for name, column in columns.items() if column.late]
         if late:
-            *_, again, sha_again = _read_columns(p, lambda _: {name: _Column(_TOKENS) for name in late})
+            _, _, again, _, sha_again = _read_columns(p, lambda _: {name: _Column(_TOKENS) for name in late})
             if sha_again != sha:
                 raise DatasetLoadError(f"{p}: file changed between the two passes of its read")
             columns.update(again)
     finally:
         if gc_was_enabled:
             gc.enable()
-    return header, linenos, columns, sha
+    return header, linenos, columns, numbers, sha
 
 
 def _read_columns(p: Path, plan) -> tuple:
@@ -272,6 +367,7 @@ def _read_columns(p: Path, plan) -> tuple:
     reported only after the rest of the file has been read, so that a
     decoding error further on still comes first.
     """
+    numbers = _Rows(_line_count(p))
     with open(p, "rb") as raw:
         hashing = _Sha256Reader(raw)
         text = io.TextIOWrapper(io.BufferedReader(hashing), encoding="utf-8", newline="")
@@ -283,10 +379,10 @@ def _read_columns(p: Path, plan) -> tuple:
         header = next(reader)
         error = f"{p}: duplicate column names in header" if len(set(header)) != len(header) else None
         columns = {} if error else plan(header)
-        used = [(header.index(name), column) for name, column in columns.items()]
-        linenos, first_line = [], 2
+        used = [(header.index(name), name, column) for name, column in columns.items()]
+        linenos, first_line = _LineNumbers(), 2
         while error is None and (rows := list(itertools.islice(reader, _BLOCK_ROWS))):
-            error = _add_block(p, rows, first_line, len(header), used, linenos)
+            error = _add_block(p, rows, first_line, len(header), used, linenos, numbers)
             first_line += len(rows)
             del rows
         collections.deque(reader, maxlen=0)
@@ -294,12 +390,11 @@ def _read_columns(p: Path, plan) -> tuple:
     if error:
         raise DatasetLoadError(error)
     for column in columns.values():
-        column.finish([len(block) for block in linenos])
-    linenos = np.concatenate(linenos) if linenos else np.empty(0, dtype=np.intp)
-    return header, linenos, columns, sha
+        column.finish(list(map(len, linenos.blocks)))
+    return header, linenos, columns, numbers, sha
 
 
-def _add_block(p, rows, first_line, n_fields, used, linenos):
+def _add_block(p, rows, first_line, n_fields, used, linenos, numbers):
     """Check one block's field counts, then hand its records to the columns.
 
     Returns the error message for a row with the wrong number of fields.
@@ -313,10 +408,11 @@ def _add_block(p, rows, first_line, n_fields, used, linenos):
     if records.size:
         if records.size < len(rows):
             rows = [rows[i] for i in records]
+            linenos.add(records + first_line)
+        else:
+            linenos.add(range(first_line, first_line + len(rows)))
         fields = list(zip(*rows))
-        for j, column in used:
-            column.add(fields[j])
-        linenos.append(records + first_line)
+        numbers.add([(name, column, column.add(fields[j])) for j, name, column in used], len(rows))
     return None
 
 
@@ -339,7 +435,7 @@ def _column_plan(spec: DatasetSpec):
             if name == spec.status_col and not event_is_number:
                 columns[name] = _Column(_TOKENS)
             elif name in (spec.time_col, spec.status_col) or name in explicit:
-                columns[name] = _Column(_NUMBER, fallback=_TOKENS)
+                columns[name] = _Column(_NUMBER, fallback=_TOKENS, covariate=name in explicit)
             elif spec.covariate_cols is None:
                 columns[name] = _Column(_NUMBER, fallback=_MASK if name in spec.na_screen_cols else _SKIP)
             elif name in spec.na_screen_cols:
@@ -356,7 +452,7 @@ def load_dataset(spec: DatasetSpec) -> SurvivalDataset:
     Text covariates become integer codes by first appearance; the mapping,
     drop count and file hash are recorded in ``dataset.attrs``.
     """
-    header, linenos, columns, sha = _read_table(spec.path, _column_plan(spec))
+    header, linenos, columns, numbers, sha = _read_table(spec.path, _column_plan(spec))
     for col in (spec.time_col, spec.status_col, *(spec.covariate_cols or ()), *spec.na_screen_cols):
         if col not in header:
             raise DatasetLoadError(f"{spec.path}: required column {col!r} not in header {header}")
@@ -377,21 +473,24 @@ def load_dataset(spec: DatasetSpec) -> SurvivalDataset:
     for col in screen:
         if columns[col].mask is not None:
             dropped |= columns[col].mask
-    kept = np.flatnonzero(~dropped)
-    n_kept = kept.size
+    all_kept = not dropped.any()
+    kept = range(n_raw) if all_kept else np.flatnonzero(~dropped)
+    rows = slice(0, n_raw) if all_kept else kept
+    n_kept = len(kept)
     if n_kept == 0:
         raise DatasetLoadError(f"{spec.path}: no rows left after dropping missing values")
-    all_kept = n_kept == n_raw
 
     def kept_tokens(col):
         tokens = columns[col].tokens
         return tokens if all_kept else [tokens[i] for i in kept.tolist()]
 
     def kept_values(col):
-        """The column's kept rows as numbers, or None if one is not a number."""
-        column = columns[col]
-        if column.mode == _NUMBER:
-            return column.values if all_kept else column.values[kept]
+        """The column's kept rows as numbers, or None if one is not a number.
+
+        A number column's rows are a view of the row buffer when all are kept.
+        """
+        if columns[col].mode == _NUMBER:
+            return numbers.column(col, rows)
         try:
             return _floats(kept_tokens(col))
         except ValueError:
@@ -405,6 +504,7 @@ def load_dataset(spec: DatasetSpec) -> SurvivalDataset:
             f"{spec.path}: line {linenos[kept[i]]}, column {spec.time_col!r}: "
             f"cannot parse {tokens[i]!r} as a number"
         )
+    time = np.ascontiguousarray(time)
     bad = np.nonzero(time <= 0)[0]
     if bad.size:
         lineno = linenos[kept[bad[0]]]
@@ -425,17 +525,20 @@ def load_dataset(spec: DatasetSpec) -> SurvivalDataset:
             else:
                 status[i] = 1 if tok == str(spec.status_event_value) else 0
 
-    matrix = np.empty((n_kept, len(covariates)))
+    # A covariate kept as tokens is written, as numbers or codes, into its
+    # slot of the row buffer, which then becomes the covariate matrix.
     categorical_maps = {}
-    for j, col in enumerate(covariates):
+    for col in covariates:
+        if columns[col].mode == _NUMBER:
+            continue
         values = kept_values(col)
-        if values is not None:
-            matrix[:, j] = values
-        else:
+        if values is None:
             tokens = kept_tokens(col)
             codes = {t: code for code, t in enumerate(dict.fromkeys(tokens), start=1)}
-            matrix[:, j] = [codes[t] for t in tokens]
+            values = [codes[t] for t in tokens]
             categorical_maps[col] = codes
+        numbers.put(col, rows, values)
+    matrix = numbers.take(None if all_kept else kept, covariates)
 
     attrs = {
         "source_path": str(spec.path),
@@ -449,8 +552,14 @@ def load_dataset(spec: DatasetSpec) -> SurvivalDataset:
 
 
 def _format_floats(values) -> list:
-    """Integral values without a decimal point, others as their shortest repr."""
-    return [str(int(v)) if v.is_integer() else repr(v) for v in values.tolist()]
+    """Integral values without a decimal point, others as their shortest repr.
+
+    Negative zero is written "-0", which reads back with its sign.
+    """
+    tokens = [str(int(v)) if v.is_integer() else repr(v) for v in values.tolist()]
+    for i in np.flatnonzero((values == 0) & np.signbit(values)).tolist():
+        tokens[i] = "-0"
+    return tokens
 
 
 def save_dataset(ds: SurvivalDataset, path, delimiter: str = ",") -> None:

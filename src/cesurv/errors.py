@@ -6,7 +6,11 @@ likelihoods) map to exit code 3.  ``dataclass_kwargs`` is the field check
 shared by every ``from_dict``.
 """
 
+import types
+import typing
 from dataclasses import MISSING
+
+import numpy as np
 
 __all__ = [
     "CesurvError",
@@ -53,10 +57,32 @@ class UndefinedMetricError(NumericalError):
     """Metric has an empty denominator (no events / no comparable pairs)."""
 
 
+def _json_matches(value, hint) -> bool:
+    """Whether a value read from JSON has the annotated type ``hint``.
+
+    ``hint`` is a class, ``X | None``, ``list[X]`` or ``tuple[X, ...]``
+    (either read from a JSON array), or ``tuple[X, Y]`` of fixed length.
+    ``float`` takes JSON integers too; neither number type takes a bool.
+    """
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):
+        return any(_json_matches(value, a) for a in args)
+    if typing.get_origin(hint) in (list, tuple):
+        if not isinstance(value, (list, tuple)):
+            return False
+        if args[-1:] == (Ellipsis,) or typing.get_origin(hint) is list:
+            return all(_json_matches(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_json_matches, value, args))
+    if hint in (int, float) and isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def dataclass_kwargs(cls, d, ignore=()) -> dict:
     """Keyword arguments of dataclass ``cls`` from mapping ``d``, less ``ignore``.
 
-    Raises InvalidInputError for a non-mapping, an unknown key or a missing required field.
+    Raises InvalidInputError for a non-mapping, an unknown key, a missing
+    required field or a value that does not have its field's annotated type.
     """
     if not isinstance(d, dict):
         raise InvalidInputError(f"{cls.__name__} fields must be a JSON object, got {type(d).__name__}")
@@ -68,4 +94,11 @@ def dataclass_kwargs(cls, d, ignore=()) -> dict:
                if n not in d and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise InvalidInputError(f"missing {cls.__name__} fields: {missing}")
+    hints = typing.get_type_hints(cls)
+    for name in fields:
+        # An array field is read from a list of numbers.
+        hint = list[float] if hints[name] is np.ndarray else hints[name]
+        if name in d and not _json_matches(d[name], hint):
+            expected = hint.__name__ if isinstance(hint, type) else str(hint)
+            raise InvalidInputError(f"{cls.__name__} field {name!r} must be {expected}, got {d[name]!r}")
     return {n: d[n] for n in fields if n in d}

@@ -41,8 +41,8 @@ class SimConfig:
     event_log_scale: float = REFERENCE_PARAMS["event_log_scale"]
     censor_shape: float = REFERENCE_PARAMS["censor_shape"]
     censor_log_scale: float = REFERENCE_PARAMS["censor_log_scale"]
-    coefficients: tuple = REFERENCE_PARAMS["coefficients"]
-    covariate_params: tuple = REFERENCE_PARAMS["covariate_params"]
+    coefficients: tuple[float, ...] = REFERENCE_PARAMS["coefficients"]
+    covariate_params: tuple[tuple[float, float], ...] = REFERENCE_PARAMS["covariate_params"]
     seed: int = 0
 
     def __post_init__(self):

@@ -65,17 +65,21 @@ def rank_variables(
         raise InvalidInputError("dataset has no covariates to rank")
     if ds.n_rows <= cfg.k:
         raise InvalidInputError(f"need more than k={cfg.k} rows, got {ds.n_rows}")
-    base = [ds.time, ds.status.astype(float)] if with_status else [ds.time]
+    base = [ds.time, ds.status] if with_status else [ds.time]
     # The empirical copula is computed column by column, so the copula of
     # (time[, status]) is shared by every covariate's score: each score
-    # equals copula_entropy(column_stack(base + [covariate]), cfg).
-    base_u = empirical_copula(np.column_stack(base), cfg)
+    # equals copula_entropy(column_stack(base + [covariate]), cfg).  It is
+    # written once into the first columns of u, and each covariate's copula
+    # overwrites the last.
+    u = np.empty((ds.n_rows, len(base) + 1))
+    for i, col in enumerate(base):
+        u[:, i] = empirical_copula(col, cfg)[:, 0]
     ces = np.empty(d)
     constant = np.zeros(d, dtype=bool)
     for j in range(d):
         col = ds.covariates[:, j]
         constant[j] = bool(np.all(col == col[0]))
-        u = np.column_stack([base_u, empirical_copula(col, cfg)])
+        u[:, -1] = empirical_copula(col, cfg)[:, 0]
         ces[j] = knn_entropy(u, cfg, unit_support=True)
     order = np.argsort(ces, kind="stable")
     entries = tuple(

@@ -214,3 +214,23 @@ class TestPathsAgree:
         assert json.loads(model.read_text())["model"] == {
             k: v for k, v in body["models"][0].items() if k != "label"
         }
+
+
+class TestValueTypes:
+    """A settings or model value of the wrong JSON type exits 2 with the field named."""
+
+    @pytest.mark.parametrize("value, shown", [("5", "'5'"), (5.5, "5.5")], ids=["string", "fraction"])
+    def test_sim_config_n_subjects_exit_2(self, tmp_path, capsys, value, shown):
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps({"n_subjects": value}))
+        assert run("select", "--sim-config", str(cfg)) == 2
+        assert f"SimConfig field 'n_subjects' must be int, got {shown}" in capsys.readouterr().err
+
+    def test_model_coefficient_not_a_number_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        assert run("fit", "--bundled", "veteran", "--covariates", "karno", "--out", str(path)) == 0
+        payload = json.loads(path.read_text())
+        payload["model"]["coefficients"] = ["a"]
+        path.write_text(json.dumps(payload))
+        assert run("evaluate", "--bundled", "veteran", "--model", str(path)) == 2
+        assert "AFTModel field 'coefficients' must be list[float], got ['a']" in capsys.readouterr().err

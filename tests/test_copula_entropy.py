@@ -1,13 +1,17 @@
+import hashlib
 import importlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 from scipy.special import digamma as scipy_digamma
 
 from cesurv.copula_entropy import (
+    _JITTER_STREAM_TAG,
     EstimatorConfig,
+    _column_stream,
     _kth_nn_distance,
     _value_draw_order,
     as_sample_matrix,
@@ -203,7 +207,7 @@ class TestNeighborSearch:
         # At 100 rows a thread, every table here is split over `cpus` threads.
         plain = TestNeighborSearch.plain_tree_distance(u, 3, norm)
         for cpus in THREAD_COUNTS:
-            with monkeypatch.context() as m:
+            with pytest.MonkeyPatch.context() as m:
                 m.setattr(ce_mod, "_CPUS", cpus)
                 m.setattr(ce_mod, "_ROWS_PER_WORKER", 100)
                 np.testing.assert_array_equal(_kth_nn_distance(u, 3, norm), plain)
@@ -384,3 +388,129 @@ class TestEstimatorConfig:
     def test_rejects_negative_jitter_seed(self):
         with pytest.raises(InvalidInputError):
             EstimatorConfig(jitter_seed=-1)
+
+
+# Values that tie, sit at the float limits or carry a sign on zero.
+LEVELS = (-0.0, 0.0, 1.0, -1.5, 2.0, 5e-324, 1e-300, 7.25)
+
+
+@st.composite
+def sample_matrices(draw, max_rows=60, max_cols=4):
+    """Sample matrices whose columns are free floats, tied levels or constant."""
+    n = draw(st.integers(2, max_rows))
+    columns = []
+    for _ in range(draw(st.integers(1, max_cols))):
+        kind = draw(st.sampled_from(("floats", "tied", "constant")))
+        if kind == "floats":
+            column = draw(st.lists(st.floats(-1e100, 1e100), min_size=n, max_size=n))
+        elif kind == "tied":
+            column = draw(st.lists(st.sampled_from(LEVELS), min_size=n, max_size=n))
+        else:
+            column = [draw(st.sampled_from(LEVELS))] * n
+        columns.append(column)
+    x = np.array(columns, dtype=float).T
+    return np.asfortranarray(x) if draw(st.booleans()) else x
+
+
+def stream_key_by_unique(col):
+    """The tie-break stream key as first defined: blake2b of np.unique's inverse."""
+    dense = np.unique(col, return_inverse=True)[1]
+    return int.from_bytes(hashlib.blake2b(dense.astype("<i8").tobytes(), digest_size=8).digest(), "little")
+
+
+def empirical_copula_whole_matrix(x, cfg):
+    """The whole-matrix formula the column loop replaced, as the reference:
+    every column's draws, the matrix std and all perturbed columns at once,
+    each column ordered by np.lexsort((draws, perturbed))."""
+    x = as_sample_matrix(x)
+    n = x.shape[0]
+    u = np.column_stack([
+        np.random.default_rng((_JITTER_STREAM_TAG, cfg.jitter_seed, stream_key_by_unique(col))).random(n)
+        for col in x.T
+    ])
+    scale = x.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    xp = x + cfg.tie_jitter * scale[None, :] * u
+    ranks = np.empty(x.shape, dtype=np.intp)
+    for j in range(x.shape[1]):
+        ranks[np.lexsort((u[:, j], xp[:, j])), j] = np.arange(1, n + 1)
+    return ranks / float(n)
+
+
+def knn_entropy_whole_matrix(u, cfg):
+    """The boundary-corrected estimate with the n x d widths matrix, as the reference."""
+    n, d = u.shape
+    eps = np.maximum(2.0 * _kth_nn_distance(u, cfg.k, cfg.norm), ce_mod._EPS_FLOOR)
+    r = eps[:, None] / 2.0
+    widths = np.minimum(u + r, 1.0) - np.maximum(u - r, 0.0)
+    return -digamma(float(cfg.k)) + digamma(float(n)) + float(np.log(widths).sum(axis=1).mean())
+
+
+class TestColumnAtATime:
+    """The bounded-memory kernels give bitwise the numbers of the whole-matrix formulas."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(x=sample_matrices(), seed=st.integers(0, 2**32), jitter=st.sampled_from((1e-10, 1e-3, 0.0)))
+    def test_empirical_copula_equals_whole_matrix_formula(self, x, seed, jitter):
+        cfg = EstimatorConfig(jitter_seed=seed, tie_jitter=jitter)
+        out = empirical_copula(x, cfg)
+        assert out.tobytes() == empirical_copula_whole_matrix(x, cfg).tobytes()
+        assert out.flags.c_contiguous
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(x=sample_matrices(max_cols=1), seed=st.integers(0, 2**32))
+    def test_column_stream_key_equals_unique_inverse_hash(self, x, seed):
+        col = x[:, 0]
+        cfg = EstimatorConfig(jitter_seed=seed)
+        expected = np.random.default_rng((_JITTER_STREAM_TAG, seed, stream_key_by_unique(col)))
+        assert _column_stream(col, cfg).bit_generator.state == expected.bit_generator.state
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        u=st.integers(1, 12).flatmap(lambda d: st.lists(
+            st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d), min_size=1, max_size=40)),
+        radii=st.lists(st.floats(5e-13, 1.0), min_size=40, max_size=40),
+        block_rows=st.sampled_from((1, 3, 7, 4096)),
+        fortran=st.booleans(),
+    )
+    def test_block_widths_sum_equals_whole_matrix(self, u, radii, block_rows, fortran):
+        def whole_matrix(u):
+            return np.log(np.minimum(u + r[:, None], 1) - np.maximum(u - r[:, None], 0)).sum(axis=1).mean()
+
+        u = np.array(u)
+        r = np.array(radii[: len(u)])
+        expected = whole_matrix(u)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(ce_mod, "_WIDTH_BLOCK_ROWS", block_rows)
+            if fortran:
+                # Numpy adds the rows of a Fortran-order matrix left to right,
+                # which the pairwise sum of a C-order row matches below 8 columns.
+                u = np.asfortranarray(u)
+                if u.shape[1] < 8:
+                    assert whole_matrix(u) == expected
+            assert ce_mod._log_clipped_widths(u, r).mean() == expected
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 9])
+    @pytest.mark.parametrize("n", [5, 150, 5000])
+    def test_knn_entropy_equals_whole_matrix_formula(self, n, d):
+        u = empirical_copula(np.random.default_rng(n + d).integers(0, 4, (n, d)).astype(float), CFG)
+        assert knn_entropy(u, CFG, unit_support=True) == knn_entropy_whole_matrix(u, CFG)
+
+
+class TestScratchMemory:
+    """Single-call traced peaks at 10^5 rows: the output plus a few columns."""
+
+    N = 100_000
+
+    def test_copula_of_time_and_status(self, traced_peak):
+        ds = simulate(SimConfig(seed=4, n_subjects=self.N))
+        ts = np.column_stack([ds.time, ds.status.astype(float)])
+        out, peak = traced_peak(lambda: empirical_copula(ts, CFG))
+        assert out.shape == (self.N, 2)
+        assert peak < 6 * 2**20  # the output alone is 1.5 MiB; the matrix formula took 8.7 MiB
+
+    def test_knn_entropy_in_3d(self, traced_peak):
+        ds = simulate(SimConfig(seed=4, n_subjects=self.N))
+        u = empirical_copula(np.column_stack([ds.time, ds.status, ds.covariates[:, 0]]), CFG)
+        _, peak = traced_peak(lambda: knn_entropy(u, CFG, unit_support=True))
+        assert peak < 6 * 2**20  # the n x 3 widths matrices took 8.4 MiB

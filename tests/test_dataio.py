@@ -1,7 +1,6 @@
 import csv
 import gc
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +14,8 @@ from cesurv.survsim import SurvivalDataset
 def save_per_row(ds, path, delimiter=","):
     """Reference writer: one row at a time, one value at a time."""
     def fmt(v):
+        if v == 0 and np.signbit(v):
+            return "-0"
         return str(int(v)) if float(v).is_integer() else repr(float(v))
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -458,24 +459,74 @@ class TestBlockwiseRead:
             load_dataset(DatasetSpec(path=p, covariate_cols=("grp",)))
         assert len(passes) == 2
 
-    def test_load_holds_outputs_plus_one_block(self, tmp_path):
+    def test_load_holds_outputs_plus_one_block(self, tmp_path, traced_peak):
         # 10^5 rows x 9 columns: the arrays returned take 6.9 MiB; reading the
-        # whole file into per-row token lists first peaked at 71.9 MiB.
+        # whole file into per-row token lists first peaked at 71.9 MiB, and
+        # holding every parsed column beside the matrix at 16.4 MiB.
         rng = np.random.default_rng(8)
         n = 100_000
         x = np.column_stack([rng.standard_normal((n, 4)), rng.integers(0, 5, (n, 3))])
         ds = SurvivalDataset(x, rng.random(n) + 0.5, rng.integers(0, 2, n), list("abcdefg"))
         p = tmp_path / "wide.csv"
         save_dataset(ds, p)
-        was_tracing = tracemalloc.is_tracing()
-        if not was_tracing:
-            tracemalloc.start()
-        tracemalloc.reset_peak()
-        try:
-            back = load_dataset(DatasetSpec(path=p))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
+        back, peak = traced_peak(lambda: load_dataset(DatasetSpec(path=p)))
         np.testing.assert_array_equal(back.covariates, ds.covariates)
-        assert peak < 24 * 2**20
+        assert peak < 12 * 2**20
+
+
+class TestRowBuffer:
+    """The row buffer the numbers go into, sized from the line count, against the reference."""
+
+    @staticmethod
+    def write(tmp_path, text, name="rows.csv"):
+        p = tmp_path / name
+        p.write_bytes(text.encode("utf-8"))
+        return p
+
+    TABLE = ["time,status,a,grp,b", "1,1,0.5,x,NA", "2,0,-0,y,3", "3,1,2.5,x,4", "4,1,,z,5", "5,0,1e3,y,6"]
+
+    @pytest.mark.parametrize("newline, last", [("\n", "\n"), ("\n", ""), ("\r\n", "\r\n"), ("\r", "\r"),
+                                               ("\n", "\n\n\n")],
+                             ids=["lf", "no_final_newline", "crlf", "cr_only", "trailing_blank_lines"])
+    @pytest.mark.parametrize("covariates", [None, ("grp", "a"), ("b", "a", "b")],
+                             ids=["default", "text_first", "named_twice"])
+    def test_line_endings_and_specs_match_per_token_load(self, tmp_path, monkeypatch, newline, last,
+                                                        covariates):
+        p = self.write(tmp_path, newline.join(self.TABLE) + last)
+        for _ in block_sizes(monkeypatch):
+            ds = assert_matches_per_token_load(DatasetSpec(path=p, covariate_cols=covariates))
+            assert ds.covariates.flags.c_contiguous and ds.covariates.flags.owndata
+            assert ds.time.flags.c_contiguous
+
+    def test_no_covariates_named(self, tmp_path, monkeypatch):
+        p = self.write(tmp_path, "\n".join(self.TABLE) + "\n")
+        for _ in block_sizes(monkeypatch):
+            ds = load_dataset(DatasetSpec(path=p, covariate_cols=()))
+            assert ds.names == [] and ds.covariates.shape == (5, 0)
+            np.testing.assert_array_equal(ds.time, [1, 2, 3, 4, 5])
+
+    def test_more_records_than_counted_lines_grow_the_buffer(self, tmp_path, monkeypatch):
+        rows = [f"{i + 1},{i % 2},{i * 0.25},{'NA' if i % 7 == 3 else i}" for i in range(50)]
+        p = self.write(tmp_path, "\n".join(["time,status,a,b", *rows]) + "\n")
+        monkeypatch.setattr(dataio, "_line_count", lambda path: 1)
+        for _ in block_sizes(monkeypatch):
+            assert assert_matches_per_token_load(DatasetSpec(path=p)).n_rows == 43
+
+    def test_negative_zero_round_trips_bitwise(self, tmp_path, monkeypatch):
+        x = np.array([[-0.0, 0.0], [1.5, -0.0], [-2.0, 3.0], [0.0, -0.0]] * 5)
+        ds = SurvivalDataset(x, np.arange(1.0, 21.0), np.arange(20) % 2, ["a", "b"])
+        for _ in block_sizes(monkeypatch):
+            save_dataset(ds, tmp_path / "z.csv")
+            assert (tmp_path / "z.csv").read_text().splitlines()[1] == "-0,0,1,0"
+            back = load_dataset(DatasetSpec(path=tmp_path / "z.csv"))
+            assert back.covariates.tobytes() == ds.covariates.tobytes()
+
+    def test_save_holds_one_block(self, tmp_path, traced_peak):
+        # 10^5 rows x 9 columns; blocks of 8192 rows of Python strings peaked
+        # at 9.0 MiB.
+        rng = np.random.default_rng(9)
+        n = 100_000
+        x = np.column_stack([rng.standard_normal((n, 4)), rng.integers(0, 5, (n, 3))])
+        ds = SurvivalDataset(x, rng.random(n) + 0.5, rng.integers(0, 2, n), list("abcdefg"))
+        _, peak = traced_peak(lambda: save_dataset(ds, tmp_path / "wide.csv"))
+        assert peak < 2 * 2**20
