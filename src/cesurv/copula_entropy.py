@@ -17,6 +17,8 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import threading
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -49,6 +51,24 @@ except AttributeError:  # platforms without CPU affinity
 # 0.15 ms per query, so below about 5000 rows (2500 per thread) one thread
 # is as fast or faster, in 2-D and 3-D alike (sweep in CHANGES.md).
 _ROWS_PER_WORKER = 2500
+# Whole kNN jobs run side by side, one thread each, from this many rows.
+# Against one job at a time (2 CPUs, both rankings of five covariates,
+# medians of interleaved runs), they lose at 300 rows (3.9 vs 3.5 ms) and
+# win at 600 (5.6 vs 6.4 ms), 1000 (8.0 vs 10.3 ms), 2500 (17.1 vs 25.5
+# ms) and 10^4 rows (65 vs 73 ms).  600 rows lost in an earlier run, and
+# while other processes hold the second CPU the jobs lose a few percent
+# at 1000 rows, hence the margin.
+_JOB_MIN_ROWS = 1000
+# Rows per CPU up to which jobs run side by side.  One query's own split
+# gains only 1.33x on 2 CPUs at 10^4 rows, where two whole queries at once
+# gain 2.03x, but 1.9x at 5*10^4 rows; above that, the trees of jobs in
+# flight and the pool threads' malloc arenas add up (a pool over the
+# covariates raised peak RSS 12% at 10^5 rows).
+_SPLIT_ROWS = 25_000
+
+# Marks the pool threads that run several searches at once
+# (``_unit_cube_entropies``), whose queries each run on one thread.
+_job_thread = threading.local()
 
 
 @dataclass(frozen=True)
@@ -168,10 +188,16 @@ def _tie_break(col: np.ndarray, cfg: EstimatorConfig) -> tuple:
 
     Returns the perturbed values and the draws u.  Where the offset is
     below the spacing of floats at the column's values, perturbed values
-    still collide, so the ranking orders by u after the value.
+    still collide, so the ranking orders by u after the value.  A column
+    whose std overflows (values of about 1e154 and up) takes the std of
+    ``col / max|col|`` times ``max|col|`` instead, which is finite.
     """
     draws = _column_stream(col, cfg).random(col.size)
-    scale = col.std()
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = col.std()
+    if not math.isfinite(scale):
+        peak = np.abs(col).max()
+        scale = (col / peak).std() * peak
     perturbed = draws * (cfg.tie_jitter * (scale if scale != 0.0 else 1.0))
     perturbed += col
     return perturbed, draws
@@ -233,8 +259,10 @@ def _kth_nn_distance(u: np.ndarray, k: int, norm: str) -> np.ndarray:
     consecutive queries walk the same nodes, and the distances are then
     scattered back to row order.  Only the k-th neighbor is asked for, and
     large tables split the queries over up to ``_CPUS`` threads of at least
-    ``_ROWS_PER_WORKER`` rows each.  The search is exact, so neither the
-    order of the queries nor the thread count changes a distance.
+    ``_ROWS_PER_WORKER`` rows each, unless the search is one of several
+    run at once (``_unit_cube_entropies``), which runs on its thread
+    alone.  The search is exact, so neither the order of the queries nor
+    the thread count changes a distance.
     Splitting at the sliding midpoint instead of the median, without
     shrinking nodes to their points' bounding boxes, halves the build time;
     copula points fill the unit cube evenly, so the leaf-order queries are
@@ -242,7 +270,7 @@ def _kth_nn_distance(u: np.ndarray, k: int, norm: str) -> np.ndarray:
     """
     p = np.inf if norm == "max" else 2
     n = u.shape[0]
-    workers = max(1, min(_CPUS, n // _ROWS_PER_WORKER))
+    workers = 1 if getattr(_job_thread, "alone", False) else max(1, min(_CPUS, n // _ROWS_PER_WORKER))
     tree = cKDTree(u, balanced_tree=False, compact_nodes=False)
     dist = np.empty(n)
     dist[tree.indices] = tree.query(u[tree.indices], k=[k + 1], p=p, workers=workers)[0][:, 0]
@@ -308,6 +336,48 @@ def knn_entropy(u, cfg: EstimatorConfig = EstimatorConfig(), unit_support: bool 
         return base + float(_log_clipped_widths(u, eps).mean())
     log_sum = float(np.log(eps).sum())
     return base + _log_unit_diameter_ball_volume(d, cfg.norm) + (d / n) * log_sum
+
+
+def _concurrent_jobs(n: int) -> int:
+    """How many kNN jobs on n-row samples run at once, each on one thread.
+
+    One job at a time, whose query splits itself over the CPUs, for small
+    tables, where threads cost more than they save, and for large ones,
+    where the split is nearly as good and the jobs' trees would add up.
+    Either way at most ``_CPUS`` threads query at once.
+    """
+    return _CPUS if _JOB_MIN_ROWS <= n < _CPUS * _SPLIT_ROWS else 1
+
+
+def _search_alone() -> None:
+    """Pool thread initializer: this thread's queries run on it alone."""
+    _job_thread.alone = True
+
+
+def _unit_cube_entropies(samples, n: int, cfg: EstimatorConfig = EstimatorConfig()) -> list:
+    """``knn_entropy(u, cfg, unit_support=True)`` of each n-row copula sample, in order.
+
+    ``samples`` yields the matrices; a yielded matrix may be rewritten once
+    the next one is asked for.  Where ``_concurrent_jobs`` allows several
+    jobs, each matrix is copied in the calling thread and searched on one
+    of that many pool threads, each search on its thread alone.  One copy
+    more than the threads may wait in the pool's queue, so that no thread
+    idles while the calling thread makes the next matrix; no more are made
+    until a search ends.  Every estimate is the one ``knn_entropy`` gives
+    on its own.
+    """
+    jobs = _concurrent_jobs(n)
+    if jobs == 1:
+        return [knn_entropy(u, cfg, unit_support=True) for u in samples]
+    out, pending = [], set()
+    with ThreadPoolExecutor(jobs, initializer=_search_alone) as pool:
+        for u in samples:
+            if len(pending) > jobs:
+                pending = wait(pending, return_when=FIRST_COMPLETED).not_done
+            job = pool.submit(knn_entropy, u.copy(), cfg, True)
+            pending.add(job)
+            out.append(job)
+    return [job.result() for job in out]
 
 
 def copula_entropy(x, cfg: EstimatorConfig = EstimatorConfig()) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copula_entropy import EstimatorConfig, empirical_copula, knn_entropy
+from .copula_entropy import EstimatorConfig, _unit_cube_entropies, empirical_copula
 from .errors import InvalidInputError
 from .survsim import SurvivalDataset
 
@@ -60,33 +60,53 @@ def rank_variables(
     flagged; the tie-break jitter turns them into independent noise so they
     score near zero rather than erroring.
     """
+    return _rank(ds, (with_status,), cfg)[0]
+
+
+def _rank(ds: SurvivalDataset, with_status: tuple, cfg: EstimatorConfig) -> list:
+    """``rank_variables(ds, s, cfg)`` for each s in ``with_status``, in one pass.
+
+    The empirical copula is computed column by column, so each score equals
+    copula_entropy(column_stack(base + [covariate]), cfg) with base (time[,
+    status]).  Each base's copula is written once into the first columns of
+    one matrix per ranking, and each covariate's copula, computed once,
+    overwrites the last column of every matrix before their kNN jobs run,
+    in the order of ``with_status``.
+    No copula is held past its copy into the matrices, so the scratch
+    memory of a search is the same as with one ranking.
+    """
     d = ds.covariates.shape[1]
     if d == 0:
         raise InvalidInputError("dataset has no covariates to rank")
     if ds.n_rows <= cfg.k:
         raise InvalidInputError(f"need more than k={cfg.k} rows, got {ds.n_rows}")
-    base = [ds.time, ds.status] if with_status else [ds.time]
-    # The empirical copula is computed column by column, so the copula of
-    # (time[, status]) is shared by every covariate's score: each score
-    # equals copula_entropy(column_stack(base + [covariate]), cfg).  It is
-    # written once into the first columns of u, and each covariate's copula
-    # overwrites the last.
-    u = np.empty((ds.n_rows, len(base) + 1))
-    for i, col in enumerate(base):
-        u[:, i] = empirical_copula(col, cfg)[:, 0]
-    ces = np.empty(d)
-    constant = np.zeros(d, dtype=bool)
-    for j in range(d):
-        col = ds.covariates[:, j]
-        constant[j] = bool(np.all(col == col[0]))
-        u[:, -1] = empirical_copula(col, cfg)[:, 0]
-        ces[j] = knn_entropy(u, cfg, unit_support=True)
-    order = np.argsort(ces, kind="stable")
-    entries = tuple(
-        RankingEntry(name=ds.names[j], ce=float(ces[j]), rank=pos + 1, constant=bool(constant[j]))
-        for pos, j in enumerate(order)
-    )
-    return VariableRanking(entries=entries, with_status=with_status, estimator_cfg=cfg)
+    us = [np.empty((ds.n_rows, 3 if s else 2)) for s in with_status]
+    for i, col in enumerate([ds.time, ds.status] if any(with_status) else [ds.time]):
+        copula = empirical_copula(col, cfg)[:, 0]
+        for u in us:
+            if i < u.shape[1] - 1:  # only with-status matrices have a status column
+                u[:, i] = copula
+        del copula
+
+    def samples():
+        for j in range(d):
+            copula = empirical_copula(ds.covariates[:, j], cfg)[:, 0]
+            for u in us:
+                u[:, -1] = copula
+            del copula
+            yield from us
+
+    ces = np.array(_unit_cube_entropies(samples(), ds.n_rows, cfg)).reshape(d, len(us))
+    constant = [bool(np.all(col == col[0])) for col in ds.covariates.T]
+    rankings = []
+    for s, ce in zip(with_status, ces.T):
+        order = np.argsort(ce, kind="stable")
+        entries = tuple(
+            RankingEntry(name=ds.names[j], ce=float(ce[j]), rank=pos + 1, constant=constant[j])
+            for pos, j in enumerate(order)
+        )
+        rankings.append(VariableRanking(entries=entries, with_status=s, estimator_cfg=cfg))
+    return rankings
 
 
 def select_variables(ranking: VariableRanking, top_m: int = None, threshold: float = None) -> list:

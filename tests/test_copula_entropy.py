@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cesurv.copula_entropy import (
     EstimatorConfig,
     _column_stream,
     _kth_nn_distance,
+    _unit_cube_entropies,
     _value_draw_order,
     as_sample_matrix,
     copula_entropy,
@@ -26,9 +28,9 @@ from cesurv.survsim import SimConfig, simulate
 # The package re-exports the function copula_entropy under the module's name.
 ce_mod = importlib.import_module("cesurv.copula_entropy")
 CFG = EstimatorConfig()
-# Thread counts the kd-tree search is checked under; 3 exceeds the CPUs of a
-# 2-CPU machine, which the search must handle alike.
-THREAD_COUNTS = (1, 2, 3)
+# Thread counts the kd-tree search is checked under; 3 and 4 exceed the CPUs
+# of a 2-CPU machine, which the search must handle alike.
+THREAD_COUNTS = (1, 2, 3, 4)
 
 
 def kth_nn_distance_brute(u, k, norm):
@@ -149,6 +151,14 @@ class TestEmpiricalCopula:
         with pytest.raises(InvalidInputError):
             empirical_copula(np.array([[1.0, 2.0]]), CFG)
 
+    def test_ranks_by_value_where_std_overflows(self):
+        # The std of values near 1e200 overflows; the ranks must still follow
+        # the values, with no floating-point warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = empirical_copula([3e200, 1e200, 2e200, -1e200, 0, 5e200], CFG)
+        np.testing.assert_array_equal(out.ravel() * 6, [5, 3, 4, 1, 2, 6])
+
 
 class TestKnnEntropy:
     def test_uniform_1d(self):
@@ -234,6 +244,25 @@ class TestNeighborSearch:
         for d, levels in ((2, 6), (3, 4)):
             u = rng.integers(1, levels + 1, (5000, d)) / levels
             self.assert_equal_on_every_thread_count(u, norm, monkeypatch)
+
+    @pytest.mark.parametrize("n", [137, 1000, 10_000, 20_000])
+    def test_job_pool_equals_one_search_at_a_time(self, n, monkeypatch):
+        # The copulas a ranking scores, including covariates coded like the
+        # cancer table's sex (1/2) and ph.ecog (0-3), and a tied grid.
+        ds = simulate(SimConfig(seed=n, n_subjects=n))
+        rng = np.random.default_rng([n, 1])
+        sex = 1.0 + (rng.random(n) < 0.4)
+        ecog = rng.choice(4, size=n, p=[0.28, 0.50, 0.20, 0.02]).astype(float)
+        grid = rng.integers(1, 7, (n, 2)) / 6.0
+        samples = [empirical_copula(np.column_stack([ds.time, cov]), CFG)
+                   for cov in (ds.covariates[:, 0], sex, ecog)]
+        samples += [empirical_copula(np.column_stack([ds.time, ds.status, cov]), CFG) for cov in (sex, ecog)]
+        samples += [grid, np.column_stack([grid, sex / 2])]
+        monkeypatch.setattr(ce_mod, "_CPUS", 1)
+        want = [knn_entropy(u, CFG, unit_support=True) for u in samples]
+        for cpus in THREAD_COUNTS:
+            monkeypatch.setattr(ce_mod, "_CPUS", cpus)
+            assert _unit_cube_entropies(iter(samples), n, CFG) == want
 
     def test_small_tables_search_on_one_thread(self, monkeypatch):
         # The bundled tables and the paper's 1000-row simulation stay below

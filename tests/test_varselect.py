@@ -1,7 +1,9 @@
+import importlib
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,26 +11,50 @@ import pytest
 
 import cesurv
 from cesurv.copula_entropy import EstimatorConfig, copula_entropy
+from cesurv.dataio import bundled_dataset_spec, load_dataset
 from cesurv.errors import InvalidInputError
+from cesurv.experiment import run_experiment
 from cesurv.survsim import SimConfig, SurvivalDataset, simulate
-from cesurv.varselect import RankingEntry, VariableRanking, rank_variables, select_variables
+from cesurv.varselect import RankingEntry, VariableRanking, _rank, rank_variables, select_variables
 
+# The package re-exports the function copula_entropy under the module's name.
+ce_mod = importlib.import_module("cesurv.copula_entropy")
+varselect_mod = importlib.import_module("cesurv.varselect")
 CFG = EstimatorConfig()
+# CPU counts the search is checked under; 3 and 4 exceed the CPUs of a
+# 2-CPU machine, which the search must handle alike.
+CPU_COUNTS = (1, 2, 3, 4)
 
 # Ranks the table saved at argv[1] on one CPU; prints the CPU count the
-# package saw, then the rankings without and with status as JSON.
+# package saw, then as JSON the rankings without and with status and those
+# of run_experiment.
 ONE_CPU_RANKING = """
 import json, os, sys
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 import numpy as np
 from cesurv.copula_entropy import _CPUS
+from cesurv.experiment import run_experiment
 from cesurv.survsim import SurvivalDataset
 from cesurv.varselect import rank_variables
 data = np.load(sys.argv[1])
 ds = SurvivalDataset(data["covariates"], data["time"], data["status"], [str(n) for n in data["names"]])
 print(_CPUS)
 print(json.dumps([rank_variables(ds, with_status=s).to_dict() for s in (False, True)]))
+report = run_experiment(ds, top_m=3, include_status_ranking=True)
+print(json.dumps([report.ranking.to_dict(), report.ranking_with_status.to_dict()]))
 """
+
+
+def table_with_discrete(n, seed):
+    """A simulated table plus covariates coded like the cancer table's sex
+    (1/2) and ph.ecog (0-3), and a six-level tied grid."""
+    sim = simulate(SimConfig(seed=seed, n_subjects=n))
+    rng = np.random.default_rng([seed, 1])
+    sex = 1.0 + (rng.random(n) < 0.4)
+    ecog = rng.choice(4, size=n, p=[0.28, 0.50, 0.20, 0.02]).astype(float)
+    grid = rng.integers(1, 7, n) / 6.0
+    return SurvivalDataset(np.column_stack([sim.covariates, sex, ecog, grid]), sim.time, sim.status,
+                           [*sim.names, "sex", "ph.ecog", "grid"])
 
 
 def make_ranking(values):
@@ -107,23 +133,43 @@ class TestRankVariables:
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
     def test_one_cpu_ranking_is_bitwise_equal(self, tmp_path):
         # The kd-tree search splits large tables over the CPUs the process
-        # may use; a child process pinned to one CPU must rank identically.
-        n = 20_000
-        sim = simulate(SimConfig(seed=11, n_subjects=n))
-        rng = np.random.default_rng([11, 1])
-        sex = 1.0 + (rng.random(n) < 0.4)
-        ecog = rng.choice(4, size=n, p=[0.28, 0.50, 0.20, 0.02]).astype(float)
-        ds = SurvivalDataset(np.column_stack([sim.covariates, sex, ecog]), sim.time, sim.status,
-                             [*sim.names, "sex", "ph.ecog"])
+        # may use, or runs whole searches side by side; a child process
+        # pinned to one CPU must rank identically.
+        ds = table_with_discrete(20_000, 11)
         table = tmp_path / "table.npz"
         np.savez(table, covariates=ds.covariates, time=ds.time, status=ds.status, names=np.array(ds.names))
         package_root = str(Path(cesurv.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
         child = subprocess.run([sys.executable, "-c", ONE_CPU_RANKING, str(table)], env=env,
                                capture_output=True, text=True, check=True)
-        cpus, rankings = child.stdout.splitlines()
+        cpus, rankings, experiment_rankings = child.stdout.splitlines()
         assert cpus == "1"
         assert rankings == json.dumps([rank_variables(ds, with_status=s, cfg=CFG).to_dict() for s in (False, True)])
+        report = run_experiment(ds, top_m=3, include_status_ranking=True)
+        assert experiment_rankings == json.dumps([report.ranking.to_dict(), report.ranking_with_status.to_dict()])
+
+    @pytest.mark.parametrize("n", [137, 1000, 10_000, 20_000])
+    def test_joint_pass_equals_two_rankings_on_every_cpu_count(self, n, monkeypatch):
+        ds = table_with_discrete(n, n)
+        monkeypatch.setattr(ce_mod, "_CPUS", 1)
+        want = [rank_variables(ds, with_status=s, cfg=CFG) for s in (False, True)]
+        for cpus in CPU_COUNTS:
+            monkeypatch.setattr(ce_mod, "_CPUS", cpus)
+            assert _rank(ds, (False, True), CFG) == want
+            assert _rank(ds, (True, False), CFG) == want[::-1]
+
+    def test_one_copula_per_column(self, monkeypatch):
+        # time, status and 5 covariates; two rank_variables calls made 13.
+        calls = []
+
+        def counting(x, cfg=CFG):
+            calls.append(np.shape(x))
+            return ce_mod.empirical_copula(x, cfg)
+
+        monkeypatch.setattr(varselect_mod, "empirical_copula", counting)
+        report = run_experiment(simulate(SimConfig(seed=1)), top_m=3, include_status_ranking=True)
+        assert len(report.ranking_with_status.entries) == 5
+        assert len(calls) == 7
 
     def test_rejects_zero_covariates(self):
         ds = SurvivalDataset(np.empty((10, 0)), np.arange(1, 11.0), np.ones(10, int), [])
@@ -169,3 +215,63 @@ def test_rank_with_status_scratch_memory(traced_peak):
     ranking, peak = traced_peak(lambda: rank_variables(ds, with_status=True))
     assert len(ranking.entries) == 5
     assert peak < 9 * 2**20
+
+
+class TestThreadBudget:
+    """Query threads per kd-tree search, and searches running at once."""
+
+    @staticmethod
+    def record(monkeypatch):
+        lock = threading.Lock()
+        log = {"workers": [], "threads": 0, "searches": 0, "max_threads": 0, "max_searches": 0}
+
+        class RecordingTree(ce_mod.cKDTree):
+            def query(self, *args, **kwargs):
+                workers = kwargs.get("workers", 1)
+                with lock:
+                    log["workers"].append(workers)
+                    log["threads"] += workers
+                    log["searches"] += 1
+                    log["max_threads"] = max(log["max_threads"], log["threads"])
+                    log["max_searches"] = max(log["max_searches"], log["searches"])
+                try:
+                    return super().query(*args, **kwargs)
+                finally:
+                    with lock:
+                        log["threads"] -= workers
+                        log["searches"] -= 1
+
+        monkeypatch.setattr(ce_mod, "cKDTree", RecordingTree)
+        return log
+
+    @pytest.mark.parametrize("cpus", CPU_COUNTS)
+    def test_never_more_query_threads_than_cpus(self, cpus, monkeypatch):
+        log = self.record(monkeypatch)
+        monkeypatch.setattr(ce_mod, "_CPUS", cpus)
+        ds = table_with_discrete(10_000, 3)
+        _rank(ds, (False, True), CFG)
+        assert len(log["workers"]) == 2 * ds.covariates.shape[1]
+        assert log["max_threads"] <= cpus
+        # Whole searches side by side, each on one thread.
+        assert log["workers"] == [1] * len(log["workers"])
+
+    @pytest.mark.parametrize("name", ["veteran", "cancer"])
+    def test_bundled_tables_start_no_thread(self, name, monkeypatch):
+        log = self.record(monkeypatch)
+        monkeypatch.setattr(ce_mod, "_CPUS", 4)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+        ds = load_dataset(bundled_dataset_spec(name))
+        assert ds.n_rows in (137, 167)
+        _rank(ds, (False, True), CFG)
+        assert started == []
+        assert log["workers"] == [1] * 2 * ds.covariates.shape[1]
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_large_tables_search_one_at_a_time(self, cpus, monkeypatch):
+        log = self.record(monkeypatch)
+        monkeypatch.setattr(ce_mod, "_CPUS", cpus)
+        rank_variables(simulate(SimConfig(seed=5, n_subjects=100_000)), with_status=True)
+        assert log["max_searches"] == 1
+        assert log["workers"] == [cpus] * 5
