@@ -338,17 +338,6 @@ def knn_entropy(u, cfg: EstimatorConfig = EstimatorConfig(), unit_support: bool 
     return base + _log_unit_diameter_ball_volume(d, cfg.norm) + (d / n) * log_sum
 
 
-def _concurrent_jobs(n: int) -> int:
-    """How many kNN jobs on n-row samples run at once, each on one thread.
-
-    One job at a time, whose query splits itself over the CPUs, for small
-    tables, where threads cost more than they save, and for large ones,
-    where the split is nearly as good and the jobs' trees would add up.
-    Either way at most ``_CPUS`` threads query at once.
-    """
-    return _CPUS if _JOB_MIN_ROWS <= n < _CPUS * _SPLIT_ROWS else 1
-
-
 def _search_alone() -> None:
     """Pool thread initializer: this thread's queries run on it alone."""
     _job_thread.alone = True
@@ -358,21 +347,23 @@ def _unit_cube_entropies(samples, n: int, cfg: EstimatorConfig = EstimatorConfig
     """``knn_entropy(u, cfg, unit_support=True)`` of each n-row copula sample, in order.
 
     ``samples`` yields the matrices; a yielded matrix may be rewritten once
-    the next one is asked for.  Where ``_concurrent_jobs`` allows several
-    jobs, each matrix is copied in the calling thread and searched on one
-    of that many pool threads, each search on its thread alone.  One copy
-    more than the threads may wait in the pool's queue, so that no thread
-    idles while the calling thread makes the next matrix; no more are made
-    until a search ends.  Every estimate is the one ``knn_entropy`` gives
-    on its own.
+    the next one is asked for.  Small tables, where threads cost more than
+    they save, and large ones, where one query's own split over the CPUs
+    is nearly as good and the searches' trees would add up, run one search
+    at a time.  Otherwise each matrix is copied in the calling thread and
+    searched on one of ``_CPUS`` pool threads, each search on its thread
+    alone.  One copy more than the threads may wait in the pool's queue,
+    so that no thread idles while the calling thread makes the next
+    matrix; no more are made until a search ends.  Either way at most
+    ``_CPUS`` threads query at once, and every estimate is the one
+    ``knn_entropy`` gives on its own.
     """
-    jobs = _concurrent_jobs(n)
-    if jobs == 1:
+    if _CPUS == 1 or not _JOB_MIN_ROWS <= n < _CPUS * _SPLIT_ROWS:
         return [knn_entropy(u, cfg, unit_support=True) for u in samples]
     out, pending = [], set()
-    with ThreadPoolExecutor(jobs, initializer=_search_alone) as pool:
+    with ThreadPoolExecutor(_CPUS, initializer=_search_alone) as pool:
         for u in samples:
-            if len(pending) > jobs:
+            if len(pending) > _CPUS:
                 pending = wait(pending, return_when=FIRST_COMPLETED).not_done
             job = pool.submit(knn_entropy, u.copy(), cfg, True)
             pending.add(job)
