@@ -59,12 +59,13 @@ _ROWS_PER_WORKER = 2500
 # while other processes hold the second CPU the jobs lose a few percent
 # at 1000 rows, hence the margin.
 _JOB_MIN_ROWS = 1000
-# Rows per CPU up to which jobs run side by side.  One query's own split
-# gains only 1.33x on 2 CPUs at 10^4 rows, where two whole queries at once
-# gain 2.03x, but 1.9x at 5*10^4 rows; above that, the trees of jobs in
-# flight and the pool threads' malloc arenas add up (a pool over the
-# covariates raised peak RSS 12% at 10^5 rows).
-_SPLIT_ROWS = 25_000
+# Whole kNN jobs run side by side below this many rows, whatever the CPU
+# count.  One query's own split gains only 1.33x on 2 CPUs at 10^4 rows,
+# where two whole queries at once gain 2.03x, but 1.9x at 5*10^4 rows;
+# above that, the trees of jobs in flight and the pool threads' malloc
+# arenas add up (a pool over the covariates raised peak RSS 12% at 10^5
+# rows).  Measured on 2 CPUs only; with more CPUs, more jobs run at once.
+_JOB_MAX_ROWS = 50_000
 
 # Marks the pool threads that run several searches at once
 # (``_unit_cube_entropies``), whose queries each run on one thread.
@@ -358,7 +359,7 @@ def _unit_cube_entropies(samples, n: int, cfg: EstimatorConfig = EstimatorConfig
     ``_CPUS`` threads query at once, and every estimate is the one
     ``knn_entropy`` gives on its own.
     """
-    if _CPUS == 1 or not _JOB_MIN_ROWS <= n < _CPUS * _SPLIT_ROWS:
+    if _CPUS == 1 or not _JOB_MIN_ROWS <= n < _JOB_MAX_ROWS:
         return [knn_entropy(u, cfg, unit_support=True) for u in samples]
     out, pending = [], set()
     with ThreadPoolExecutor(_CPUS, initializer=_search_alone) as pool:
