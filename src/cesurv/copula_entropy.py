@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import threading
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, asdict
 
@@ -47,10 +46,6 @@ try:
     _CPUS = len(os.sched_getaffinity(0))
 except AttributeError:  # platforms without CPU affinity
     _CPUS = os.cpu_count() or 1
-# Rows each search thread gets at least.  Starting the threads costs about
-# 0.15 ms per query, so below about 5000 rows (2500 per thread) one thread
-# is as fast or faster, in 2-D and 3-D alike (sweep in CHANGES.md).
-_ROWS_PER_WORKER = 2500
 # Whole kNN jobs run side by side, one thread each, from this many rows.
 # Against one job at a time (2 CPUs, both rankings of five covariates,
 # medians of interleaved runs), they lose at 300 rows (3.9 vs 3.5 ms) and
@@ -59,17 +54,19 @@ _ROWS_PER_WORKER = 2500
 # while other processes hold the second CPU the jobs lose a few percent
 # at 1000 rows, hence the margin.
 _JOB_MIN_ROWS = 1000
-# Whole kNN jobs run side by side below this many rows, whatever the CPU
-# count.  One query's own split gains only 1.33x on 2 CPUs at 10^4 rows,
-# where two whole queries at once gain 2.03x, but 1.9x at 5*10^4 rows;
-# above that, the trees of jobs in flight and the pool threads' malloc
-# arenas add up (a pool over the covariates raised peak RSS 12% at 10^5
-# rows).  Measured on 2 CPUs only; with more CPUs, more jobs run at once.
+# A kNN search of this many rows or more runs alone on _CPUS threads; a
+# smaller one queries on one thread, whatever the CPU count.  One query's
+# own split gains only 1.33x on 2 CPUs at 10^4 rows, where two whole
+# queries at once gain 2.03x, but 1.9x at 5*10^4 rows; above that, the
+# trees of jobs in flight and the pool threads' malloc arenas add up (a
+# pool over the covariates raised peak RSS 12% at 10^5 rows).  Measured on
+# 2 CPUs only; with more CPUs, more jobs run at once.
 _JOB_MAX_ROWS = 50_000
 
-# Marks the pool threads that run several searches at once
-# (``_unit_cube_entropies``), whose queries each run on one thread.
-_job_thread = threading.local()
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -95,14 +92,15 @@ class EstimatorConfig:
     boundary_correction: bool = True
 
     def __post_init__(self):
-        if self.k < 1:
-            raise InvalidInputError(f"k must be >= 1, got {self.k}")
+        if not _is_integer(self.k) or self.k < 1:
+            raise InvalidInputError(f"k must be an integer >= 1, got {self.k!r}")
         if self.norm not in _NORMS:
             raise InvalidInputError(f"norm must be one of {_NORMS}, got {self.norm!r}")
-        if self.tie_jitter < 0:
-            raise InvalidInputError(f"tie_jitter must be >= 0, got {self.tie_jitter}")
-        if self.jitter_seed < 0:
-            raise InvalidInputError(f"jitter_seed must be >= 0, got {self.jitter_seed}")
+        # nan would order ties by row in every column, inf would ignore the values.
+        if not 0 <= self.tie_jitter < math.inf:
+            raise InvalidInputError(f"tie_jitter must be finite and >= 0, got {self.tie_jitter!r}")
+        if not _is_integer(self.jitter_seed) or self.jitter_seed < 0:
+            raise InvalidInputError(f"jitter_seed must be an integer >= 0, got {self.jitter_seed!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -191,7 +189,9 @@ def _tie_break(col: np.ndarray, cfg: EstimatorConfig) -> tuple:
     below the spacing of floats at the column's values, perturbed values
     still collide, so the ranking orders by u after the value.  A column
     whose std overflows (values of about 1e154 and up) takes the std of
-    ``col / max|col|`` times ``max|col|`` instead, which is finite.
+    ``col / max|col|`` times ``max|col|`` instead, which is finite.  Sums
+    that overflow (values within about 1e-10 of the largest float) are
+    clipped to the largest float, where they tie and are ordered by u.
     """
     draws = _column_stream(col, cfg).random(col.size)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -200,7 +200,9 @@ def _tie_break(col: np.ndarray, cfg: EstimatorConfig) -> tuple:
         peak = np.abs(col).max()
         scale = (col / peak).std() * peak
     perturbed = draws * (cfg.tie_jitter * (scale if scale != 0.0 else 1.0))
-    perturbed += col
+    with np.errstate(over="ignore"):
+        perturbed += col
+    np.minimum(perturbed, np.finfo(float).max, out=perturbed)
     return perturbed, draws
 
 
@@ -258,12 +260,12 @@ def _kth_nn_distance(u: np.ndarray, k: int, norm: str) -> np.ndarray:
 
     The rows are queried in the tree's leaf order (``tree.indices``), so
     consecutive queries walk the same nodes, and the distances are then
-    scattered back to row order.  Only the k-th neighbor is asked for, and
-    large tables split the queries over up to ``_CPUS`` threads of at least
-    ``_ROWS_PER_WORKER`` rows each, unless the search is one of several
-    run at once (``_unit_cube_entropies``), which runs on its thread
-    alone.  The search is exact, so neither the order of the queries nor
-    the thread count changes a distance.
+    scattered back to row order.  Only the k-th neighbor is asked for.
+    Tables of ``_JOB_MAX_ROWS`` rows or more split the queries over
+    ``_CPUS`` threads; smaller ones query on one thread, so that
+    ``_unit_cube_entropies`` can run several such searches at once.  The
+    search is exact, so neither the order of the queries nor the thread
+    count changes a distance.
     Splitting at the sliding midpoint instead of the median, without
     shrinking nodes to their points' bounding boxes, halves the build time;
     copula points fill the unit cube evenly, so the leaf-order queries are
@@ -271,7 +273,7 @@ def _kth_nn_distance(u: np.ndarray, k: int, norm: str) -> np.ndarray:
     """
     p = np.inf if norm == "max" else 2
     n = u.shape[0]
-    workers = 1 if getattr(_job_thread, "alone", False) else max(1, min(_CPUS, n // _ROWS_PER_WORKER))
+    workers = _CPUS if n >= _JOB_MAX_ROWS else 1
     tree = cKDTree(u, balanced_tree=False, compact_nodes=False)
     dist = np.empty(n)
     dist[tree.indices] = tree.query(u[tree.indices], k=[k + 1], p=p, workers=workers)[0][:, 0]
@@ -339,30 +341,26 @@ def knn_entropy(u, cfg: EstimatorConfig = EstimatorConfig(), unit_support: bool 
     return base + _log_unit_diameter_ball_volume(d, cfg.norm) + (d / n) * log_sum
 
 
-def _search_alone() -> None:
-    """Pool thread initializer: this thread's queries run on it alone."""
-    _job_thread.alone = True
-
-
 def _unit_cube_entropies(samples, n: int, cfg: EstimatorConfig = EstimatorConfig()) -> list:
     """``knn_entropy(u, cfg, unit_support=True)`` of each n-row copula sample, in order.
 
     ``samples`` yields the matrices; a yielded matrix may be rewritten once
-    the next one is asked for.  Small tables, where threads cost more than
-    they save, and large ones, where one query's own split over the CPUs
-    is nearly as good and the searches' trees would add up, run one search
-    at a time.  Otherwise each matrix is copied in the calling thread and
-    searched on one of ``_CPUS`` pool threads, each search on its thread
-    alone.  One copy more than the threads may wait in the pool's queue,
-    so that no thread idles while the calling thread makes the next
-    matrix; no more are made until a search ends.  Either way at most
-    ``_CPUS`` threads query at once, and every estimate is the one
+    the next one is asked for.  Every search of fewer than ``_JOB_MAX_ROWS``
+    rows queries on one thread (``_kth_nn_distance``).  From
+    ``_JOB_MIN_ROWS`` rows, when there is more than one CPU, each matrix is
+    copied in the calling thread and searched on one of ``_CPUS`` pool
+    threads.  Smaller tables, where threads cost more than they save, and
+    larger ones, whose searches each query on ``_CPUS`` threads, run one
+    search at a time.  One copy more than the threads may wait in the
+    pool's queue, so that no thread idles while the calling thread makes
+    the next matrix; no more are made until a search ends.  Either way at
+    most ``_CPUS`` threads query at once, and every estimate is the one
     ``knn_entropy`` gives on its own.
     """
     if _CPUS == 1 or not _JOB_MIN_ROWS <= n < _JOB_MAX_ROWS:
         return [knn_entropy(u, cfg, unit_support=True) for u in samples]
     out, pending = [], set()
-    with ThreadPoolExecutor(_CPUS, initializer=_search_alone) as pool:
+    with ThreadPoolExecutor(_CPUS) as pool:
         for u in samples:
             if len(pending) > _CPUS:
                 pending = wait(pending, return_when=FIRST_COMPLETED).not_done

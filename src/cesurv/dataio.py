@@ -30,7 +30,7 @@ import gc
 import hashlib
 import io
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 

@@ -152,6 +152,11 @@ def run_experiment(
 
     ``source`` is a SimConfig (simulate), DatasetSpec (load a file) or an
     in-memory SurvivalDataset.  Selection uses ``top_m`` or ``threshold``.
+    ``with_status`` ranks each covariate by the CE of (time, status,
+    covariate) instead of (time, covariate), and selects from that ranking.
+    ``include_status_ranking`` also reports the with-status ranking as
+    ``ranking_with_status``; it is ignored when ``with_status`` is true,
+    since the selection ranking is then already the with-status one.
     """
     with _stage("simulate" if isinstance(source, SimConfig) else "load"):
         ds = dataset_from_source(source)

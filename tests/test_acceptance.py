@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from cesurv.aft import fit as fit_aft
 from cesurv.aft import loglik_and_gradient

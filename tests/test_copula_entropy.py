@@ -152,12 +152,20 @@ class TestEmpiricalCopula:
             empirical_copula(np.array([[1.0, 2.0]]), CFG)
 
     def test_ranks_by_value_where_std_overflows(self):
-        # The std of values near 1e200 overflows; the ranks must still follow
-        # the values, with no floating-point warning.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = empirical_copula([3e200, 1e200, 2e200, -1e200, 0, 5e200], CFG)
-        np.testing.assert_array_equal(out.ravel() * 6, [5, 3, 4, 1, 2, 6])
+        # The std of values near 1e200 overflows, and values near the largest
+        # float overflow once jittered; the ranks must still follow the
+        # values, with no floating-point warning.  The two values near the
+        # largest float tie after the jitter, so either may rank first.
+        top = 1.7976931348623157e308
+        cases = [
+            ([3e200, 1e200, 2e200, -1e200, 0, 5e200], [[5, 3, 4, 1, 2, 6]]),
+            ([top, 1.79769313486e308, -top, 0, 1e308], [[4, 5, 1, 2, 3], [5, 4, 1, 2, 3]]),
+        ]
+        for values, allowed in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = empirical_copula(values, CFG)
+            assert (out.ravel() * len(values)).tolist() in allowed
 
 
 class TestKnnEntropy:
@@ -214,12 +222,12 @@ class TestNeighborSearch:
 
     @staticmethod
     def assert_equal_on_every_thread_count(u, norm, monkeypatch):
-        # At 100 rows a thread, every table here is split over `cpus` threads.
+        # From 100 rows, every table here is split over `cpus` threads.
         plain = TestNeighborSearch.plain_tree_distance(u, 3, norm)
         for cpus in THREAD_COUNTS:
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(ce_mod, "_CPUS", cpus)
-                m.setattr(ce_mod, "_ROWS_PER_WORKER", 100)
+                m.setattr(ce_mod, "_JOB_MAX_ROWS", 100)
                 np.testing.assert_array_equal(_kth_nn_distance(u, 3, norm), plain)
 
     @pytest.mark.parametrize("norm", ["max", "euclidean"])
@@ -264,9 +272,9 @@ class TestNeighborSearch:
             monkeypatch.setattr(ce_mod, "_CPUS", cpus)
             assert _unit_cube_entropies(iter(samples), n, CFG) == want
 
-    def test_small_tables_search_on_one_thread(self, monkeypatch):
-        # The bundled tables and the paper's 1000-row simulation stay below
-        # two threads' worth of rows, where starting threads costs more.
+    def test_threads_follow_the_row_count_rule(self, monkeypatch):
+        # The bundled tables, the paper's 1000-row simulation and every table
+        # below _JOB_MAX_ROWS query on one thread; from there, on all CPUs.
         seen = []
 
         class RecordingTree(cKDTree):
@@ -276,9 +284,9 @@ class TestNeighborSearch:
 
         monkeypatch.setattr(ce_mod, "_CPUS", 4)
         monkeypatch.setattr(ce_mod, "cKDTree", RecordingTree)
-        for n in (137, 167, 1000):
+        for n in (137, 167, 1000, 10_000, 49_999, 50_000):
             _kth_nn_distance(np.random.default_rng(n).random((n, 3)), 3, "max")
-        assert seen == [1, 1, 1]
+        assert seen == [1, 1, 1, 1, 1, 4]
 
     def test_duplicate_points_hit_distance_floor(self):
         u = np.array([[0.5, 0.5]] * 6)
@@ -403,20 +411,24 @@ class TestCopulaEntropy:
 
 class TestEstimatorConfig:
     def test_rejects_bad_k(self):
-        with pytest.raises(InvalidInputError):
-            EstimatorConfig(k=0)
+        for k in (0, 2.5, True):
+            with pytest.raises(InvalidInputError):
+                EstimatorConfig(k=k)
 
     def test_rejects_bad_norm(self):
         with pytest.raises(InvalidInputError):
             EstimatorConfig(norm="manhattan")
 
     def test_rejects_negative_jitter(self):
-        with pytest.raises(InvalidInputError):
-            EstimatorConfig(tie_jitter=-1e-3)
+        # nan orders ties by row in every column; inf ignores the values.
+        for jitter in (-1e-3, math.nan, math.inf):
+            with pytest.raises(InvalidInputError):
+                EstimatorConfig(tie_jitter=jitter)
 
     def test_rejects_negative_jitter_seed(self):
-        with pytest.raises(InvalidInputError):
-            EstimatorConfig(jitter_seed=-1)
+        for seed in (-1, 1.5):
+            with pytest.raises(InvalidInputError):
+                EstimatorConfig(jitter_seed=seed)
 
 
 # Values that tie, sit at the float limits or carry a sign on zero.

@@ -4,7 +4,6 @@ import json
 import numpy as np
 import pytest
 
-from cesurv.copula_entropy import EstimatorConfig
 from cesurv.dataio import DatasetSpec, bundled_dataset_spec
 from cesurv.errors import DatasetLoadError, InvalidInputError, NoEventsError
 from cesurv.experiment import (
