@@ -23,7 +23,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _is_integer
 
 __all__ = [
     "EstimatorConfig",
@@ -62,11 +62,6 @@ _JOB_MIN_ROWS = 1000
 # pool over the covariates raised peak RSS 12% at 10^5 rows).  Measured on
 # 2 CPUs only; with more CPUs, more jobs run at once.
 _JOB_MAX_ROWS = 50_000
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an int or a numpy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

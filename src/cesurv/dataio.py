@@ -6,7 +6,9 @@ to integer codes in order of first appearance; the mapping travels with the
 dataset so reports can document it.
 
 Loading streams the file in blocks of ``_BLOCK_ROWS`` csv records while
-the raw bytes feed the sha256 digest.  Each block is checked for field
+the raw bytes feed the sha256 digest.  The header is checked first: a
+repeated name, or a column the spec needs and the header lacks, is an
+error before the body is read.  Each block is then checked for field
 counts and transposed, and each column the spec can use is kept in one of
 two forms: a numeric column is parsed straight into float64 (NaN where
 missing) with a missing mask, and a text column keeps its stripped tokens;
@@ -17,14 +19,16 @@ becomes the covariate matrix in place; the block's tokens are dropped, so
 a load holds its output arrays plus the time and status columns and one
 block.  Values follow Python ``float`` semantics.  A column that turns out
 to be text after some numeric blocks is read again in a second pass, as
-tokens from the start.  Saving formats blocks of rows column by column
+tokens from the start.  Each error is raised where the read finds it, so
+the first fault in file order is the one reported; a file that is not
+UTF-8 text, or a csv field over the csv module's size limit, is a
+``DatasetLoadError`` too.  Saving formats blocks of rows column by column
 with the same rule as a per-value loop.
 """
 
 from __future__ import annotations
 
 import bisect
-import collections
 import csv
 import gc
 import hashlib
@@ -70,6 +74,8 @@ class DatasetSpec:
             cov = tuple(self.covariate_cols)
             if self.time_col in cov or self.status_col in cov:
                 raise InvalidInputError("time/status columns cannot be covariates")
+            if len(set(cov)) != len(cov):
+                raise InvalidInputError(f"covariate_cols names a column more than once: {list(cov)}")
             object.__setattr__(self, "covariate_cols", cov)
         object.__setattr__(self, "na_screen_cols", tuple(self.na_screen_cols))
         if self.na_policy != "drop_rows":
@@ -80,7 +86,7 @@ class DatasetSpec:
             "path": str(self.path),
             "time_col": self.time_col,
             "status_col": self.status_col,
-            "covariate_cols": list(self.covariate_cols) if self.covariate_cols else None,
+            "covariate_cols": list(self.covariate_cols) if self.covariate_cols is not None else None,
             "na_policy": self.na_policy,
             "status_event_value": self.status_event_value,
             "na_screen_cols": list(self.na_screen_cols),
@@ -201,12 +207,13 @@ class _Column:
     A number column's values go to the row buffer (``_Rows``); an explicit
     ``covariate`` keeps its slot there in every mode.  After ``finish``,
     ``tokens`` (tokens mode) and ``mask`` (missing rows, or None) cover
-    every record of the file.
+    every record of the file.  ``sizes`` holds the record count of each
+    block in ``masks``.
     """
 
     def __init__(self, mode, fallback=_SKIP, covariate=False):
         self.mode, self.fallback, self.covariate, self.late = mode, fallback, covariate, False
-        self.masks, self.tokens = [], []
+        self.masks, self.sizes, self.tokens = [], [], []
         self.mask = None
 
     def add(self, raw):
@@ -215,26 +222,28 @@ class _Column:
             parsed = _parse_block(raw)
             if parsed is not None:
                 self.masks.append(parsed[1])
+                self.sizes.append(len(raw))
                 return parsed[0]
             self.late = self.fallback == _TOKENS and bool(self.masks)
             self.mode = _SKIP if self.late else self.fallback
             if self.mode != _MASK:
-                self.masks = []
+                self.masks, self.sizes = [], []
         if self.mode == _TOKENS:
             self.tokens.extend(map(str.strip, raw))
         elif self.mode == _MASK:
             self.masks.append(_missing_mask(list(map(str.strip, raw))))
+            self.sizes.append(len(raw))
         return None
 
-    def finish(self, sizes) -> None:
-        """Join the blocks' masks, whose record counts are ``sizes``."""
+    def finish(self) -> None:
+        """Join the blocks' masks."""
         if self.mode == _TOKENS:
             self.mask = _missing_mask(self.tokens)
         elif any(m is not None for m in self.masks):
             self.mask = np.concatenate(
-                [np.zeros(n, dtype=bool) if m is None else m for m, n in zip(self.masks, sizes)]
+                [np.zeros(n, dtype=bool) if m is None else m for m, n in zip(self.masks, self.sizes)]
             )
-        self.masks = None
+        self.masks = self.sizes = None
 
 
 class _Rows:
@@ -263,28 +272,18 @@ class _Rows:
                 self.buf[self.n:self.n + size, self.slots[name]] = values
         self.n += size
 
-    def column(self, name, rows) -> np.ndarray:
-        """A view, or for an index array a copy, of one column's ``rows``."""
-        return self.buf[rows, self.slots[name]]
-
-    def put(self, name, rows, values) -> None:
-        """Write one column's ``rows``."""
-        self.buf[rows, self.slots[name]] = values
-
     def take(self, kept, names) -> np.ndarray:
         """``buf[kept][:, slots of names]`` as a C-order matrix, built in place.
 
         ``kept`` (increasing record indices, or None for every record) is
         copied a block at a time into the front of the buffer, which is
         then shrunk to the matrix: each block of output rows lands before
-        the buffer rows still to be read, since the matrix is no wider than
-        the buffer.  A matrix wider than the buffer (a covariate named
-        twice) is copied instead.  The buffer is not usable afterwards.
+        the buffer rows still to be read, since the matrix, whose ``names``
+        differ, is no wider than the buffer.  The buffer is not usable
+        afterwards.
         """
         n = self.n if kept is None else kept.size
         cols = [self.slots[name] for name in names]
-        if not cols or len(cols) > self.buf.shape[1]:
-            return np.ascontiguousarray(self.buf[slice(0, n) if kept is None else kept][:, cols])
         d, flat = len(cols), self.buf.reshape(-1)
         for start in range(0, n, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, n)
@@ -294,28 +293,6 @@ class _Rows:
         matrix, self.buf = self.buf, None
         matrix.resize((n, d), refcheck=False)
         return matrix
-
-
-class _LineNumbers:
-    """The line number of each csv record, the header being line 1.
-
-    Kept per block: a ``range`` for a block without blank lines, the
-    numbers themselves for a block with some.
-    """
-
-    def __init__(self):
-        self.blocks, self.starts = [], [0]
-
-    def add(self, numbers) -> None:
-        self.blocks.append(numbers)
-        self.starts.append(self.starts[-1] + len(numbers))
-
-    def __len__(self) -> int:
-        return self.starts[-1]
-
-    def __getitem__(self, i):
-        block = bisect.bisect_right(self.starts, i) - 1
-        return self.blocks[block][i - self.starts[block]]
 
 
 def _line_count(p: Path) -> int:
@@ -329,14 +306,15 @@ def _line_count(p: Path) -> int:
 
 
 def _read_table(path, plan) -> tuple:
-    """Header, record line numbers, kept columns, row buffer and sha256 of a file.
+    """Kept columns, row buffer, blank lines and sha256 of a file.
 
     ``plan(header)`` maps the name of each column to keep to a fresh
     ``_Column``.  The file is read in blocks of ``_BLOCK_ROWS`` csv records
-    while the raw bytes feed the digest.  Blank lines are skipped; line
-    numbers count csv records, the header being line 1.  Columns that turn
-    to text after number blocks are read in a second pass, as tokens from
-    the start; the file must hash the same both times.
+    while the raw bytes feed the digest.  Blank lines are skipped, and each
+    one is noted as the number of records before it, so that line numbers
+    count csv records, the header being line 1.  Columns that turn to text
+    after number blocks are read in a second pass, as tokens from the
+    start; the file must hash the same both times.
     """
     p = Path(path)
     if not p.is_file():
@@ -347,73 +325,68 @@ def _read_table(path, plan) -> tuple:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        header, linenos, columns, numbers, sha = _read_columns(p, plan)
+        columns, numbers, blanks, sha = _read_columns(p, plan)
         late = [name for name, column in columns.items() if column.late]
         if late:
-            _, _, again, _, sha_again = _read_columns(p, lambda _: {name: _Column(_TOKENS) for name in late})
+            again, _, _, sha_again = _read_columns(p, lambda _: {name: _Column(_TOKENS) for name in late})
             if sha_again != sha:
                 raise DatasetLoadError(f"{p}: file changed between the two passes of its read")
             columns.update(again)
     finally:
         if gc_was_enabled:
             gc.enable()
-    return header, linenos, columns, numbers, sha
+    return columns, numbers, blanks, sha
 
 
 def _read_columns(p: Path, plan) -> tuple:
-    """One pass of ``_read_table``.
+    """One pass of ``_read_table``; each error is raised where it is found.
 
-    A duplicate header name or a row with the wrong number of fields is
-    reported only after the rest of the file has been read, so that a
-    decoding error further on still comes first.
+    A column of the plan that the header lacks is not read: only a file
+    changed before a second pass can lose one, and its digest differs.
     """
-    numbers = _Rows(_line_count(p))
+    numbers, blanks = _Rows(_line_count(p)), []
     with open(p, "rb") as raw:
         hashing = _Sha256Reader(raw)
         text = io.TextIOWrapper(io.BufferedReader(hashing), encoding="utf-8", newline="")
-        header_line = text.readline()
-        delim = max(_DELIMITERS, key=header_line.count)
-        if header_line.count(delim) == 0:
-            raise DatasetLoadError(f"{p}: could not find a delimiter in the header row")
-        reader = csv.reader(itertools.chain([header_line], text), delimiter=delim)
-        header = next(reader)
-        error = f"{p}: duplicate column names in header" if len(set(header)) != len(header) else None
-        columns = {} if error else plan(header)
-        used = [(header.index(name), name, column) for name, column in columns.items()]
-        linenos, first_line = _LineNumbers(), 2
-        while error is None and (rows := list(itertools.islice(reader, _BLOCK_ROWS))):
-            error = _add_block(p, rows, first_line, len(header), used, linenos, numbers)
-            first_line += len(rows)
-            del rows
-        collections.deque(reader, maxlen=0)
+        try:
+            header_line = text.readline()
+            delim = max(_DELIMITERS, key=header_line.count)
+            if header_line.count(delim) == 0:
+                raise DatasetLoadError(f"{p}: could not find a delimiter in the header row")
+            reader = csv.reader(itertools.chain([header_line], text), delimiter=delim)
+            header = next(reader)
+            if len(set(header)) != len(header):
+                raise DatasetLoadError(f"{p}: duplicate column names in header")
+            columns = plan(header)
+            used = [(j, name, columns[name]) for j, name in enumerate(header) if name in columns]
+            while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
+                _add_block(p, rows, len(header), used, blanks, numbers)
+                del rows
+        except UnicodeDecodeError as e:
+            raise DatasetLoadError(f"{p}: not UTF-8 text ({e.reason})") from e
+        except csv.Error as e:
+            raise DatasetLoadError(f"{p}: line {reader.line_num}: {e}") from e
         sha = hashing.sha256.hexdigest()
-    if error:
-        raise DatasetLoadError(error)
     for column in columns.values():
-        column.finish(list(map(len, linenos.blocks)))
-    return header, linenos, columns, numbers, sha
+        column.finish()
+    return columns, numbers, blanks, sha
 
 
-def _add_block(p, rows, first_line, n_fields, used, linenos, numbers):
-    """Check one block's field counts, then hand its records to the columns.
-
-    Returns the error message for a row with the wrong number of fields.
-    """
+def _add_block(p, rows, n_fields, used, blanks, numbers) -> None:
+    """Check one block's field counts, note its blank lines, then hand its records to the columns."""
     lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
     wrong = np.flatnonzero((lengths != n_fields) & (lengths != 0))
     if wrong.size:
         i = wrong[0]
-        return f"{p}: line {first_line + i} has {lengths[i]} fields, expected {n_fields}"
-    records = np.flatnonzero(lengths)
-    if records.size:
-        if records.size < len(rows):
-            rows = [rows[i] for i in records]
-            linenos.add(records + first_line)
-        else:
-            linenos.add(range(first_line, first_line + len(rows)))
+        line = numbers.n + len(blanks) + i + 2
+        raise DatasetLoadError(f"{p}: line {line} has {lengths[i]} fields, expected {n_fields}")
+    empty = np.flatnonzero(lengths == 0)
+    if empty.size:
+        blanks.extend((numbers.n + empty - np.arange(empty.size)).tolist())
+        rows = [row for row in rows if row]
+    if rows:
         fields = list(zip(*rows))
         numbers.add([(name, column, column.add(fields[j])) for j, name, column in used], len(rows))
-    return None
 
 
 def _column_plan(spec: DatasetSpec):
@@ -430,6 +403,9 @@ def _column_plan(spec: DatasetSpec):
     explicit = spec.covariate_cols or ()
 
     def plan(header):
+        for col in (spec.time_col, spec.status_col, *explicit, *spec.na_screen_cols):
+            if col not in header:
+                raise DatasetLoadError(f"{spec.path}: required column {col!r} not in header {header}")
         columns = {}
         for name in header:
             if name == spec.status_col and not event_is_number:
@@ -452,18 +428,19 @@ def load_dataset(spec: DatasetSpec) -> SurvivalDataset:
     Text covariates become integer codes by first appearance; the mapping,
     drop count and file hash are recorded in ``dataset.attrs``.
     """
-    header, linenos, columns, numbers, sha = _read_table(spec.path, _column_plan(spec))
-    for col in (spec.time_col, spec.status_col, *(spec.covariate_cols or ()), *spec.na_screen_cols):
-        if col not in header:
-            raise DatasetLoadError(f"{spec.path}: required column {col!r} not in header {header}")
-    n_raw = len(linenos)
+    columns, numbers, blanks, sha = _read_table(spec.path, _column_plan(spec))
+    n_raw = numbers.n
+
+    def line(i):
+        """The line of record ``i``, the header being line 1."""
+        return i + 2 + bisect.bisect_right(blanks, i)
 
     if spec.covariate_cols is None:
-        # Default: every remaining column whose non-missing values all parse
-        # as numbers.
+        # Default: every remaining column, in header order, whose non-missing
+        # values all parse as numbers.
         covariates = tuple(
-            name for name in header
-            if name not in (spec.time_col, spec.status_col) and columns[name].mode == _NUMBER
+            name for name, column in columns.items()
+            if name not in (spec.time_col, spec.status_col) and column.mode == _NUMBER
         )
     else:
         covariates = spec.covariate_cols
@@ -490,7 +467,7 @@ def load_dataset(spec: DatasetSpec) -> SurvivalDataset:
         A number column's rows are a view of the row buffer when all are kept.
         """
         if columns[col].mode == _NUMBER:
-            return numbers.column(col, rows)
+            return numbers.buf[rows, numbers.slots[col]]
         try:
             return _floats(kept_tokens(col))
         except ValueError:
@@ -501,15 +478,14 @@ def load_dataset(spec: DatasetSpec) -> SurvivalDataset:
         tokens = kept_tokens(spec.time_col)
         i = next(i for i, t in enumerate(tokens) if _parse_float(t) is None)
         raise DatasetLoadError(
-            f"{spec.path}: line {linenos[kept[i]]}, column {spec.time_col!r}: "
+            f"{spec.path}: line {line(kept[i])}, column {spec.time_col!r}: "
             f"cannot parse {tokens[i]!r} as a number"
         )
     time = np.ascontiguousarray(time)
     bad = np.nonzero(time <= 0)[0]
     if bad.size:
-        lineno = linenos[kept[bad[0]]]
         raise DatasetLoadError(
-            f"{spec.path}: line {lineno}, column {spec.time_col!r}: time must be positive"
+            f"{spec.path}: line {line(kept[bad[0]])}, column {spec.time_col!r}: time must be positive"
         )
 
     event_num = _parse_float(str(spec.status_event_value))
@@ -537,7 +513,7 @@ def load_dataset(spec: DatasetSpec) -> SurvivalDataset:
             codes = {t: code for code, t in enumerate(dict.fromkeys(tokens), start=1)}
             values = [codes[t] for t in tokens]
             categorical_maps[col] = codes
-        numbers.put(col, rows, values)
+        numbers.buf[rows, numbers.slots[col]] = values
     matrix = numbers.take(None if all_kept else kept, covariates)
 
     attrs = {

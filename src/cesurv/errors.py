@@ -3,7 +3,8 @@
 Invalid inputs (bad shapes, unloadable files) map to CLI exit code 2;
 numerical failures (non-convergence, undefined metrics, degenerate
 likelihoods) map to exit code 3.  ``dataclass_kwargs`` is the field check
-shared by every ``from_dict``.
+shared by every ``from_dict``, and ``_is_integer`` the integer check of
+the settings objects.
 """
 
 import types
@@ -55,6 +56,11 @@ class NonConvergenceError(NumericalError):
 
 class UndefinedMetricError(NumericalError):
     """Metric has an empty denominator (no events / no comparable pairs)."""
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _json_matches(value, hint) -> bool:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, dataclass_kwargs
+from .errors import InvalidInputError, _is_integer, dataclass_kwargs
 
 __all__ = ["SimConfig", "SurvivalDataset", "simulate", "REFERENCE_PARAMS"]
 
@@ -50,6 +50,8 @@ class SimConfig:
         object.__setattr__(
             self, "covariate_params", tuple((float(m), float(v)) for m, v in self.covariate_params)
         )
+        if not _is_integer(self.n_subjects):
+            raise InvalidInputError(f"n_subjects must be an integer, got {self.n_subjects!r}")
         if self.n_subjects < 1:
             raise InvalidInputError(f"n_subjects must be >= 1, got {self.n_subjects}")
         if self.max_follow_up <= 0:
@@ -63,6 +65,8 @@ class SimConfig:
             )
         if any(v < 0 for _, v in self.covariate_params):
             raise InvalidInputError("covariate variances must be >= 0")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise InvalidInputError(f"seed must be an integer >= 0, got {self.seed!r}")
 
     @property
     def n_covariates(self) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copula_entropy import EstimatorConfig, _unit_cube_entropies, empirical_copula
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _is_integer
 from .survsim import SurvivalDataset
 
 __all__ = ["RankingEntry", "VariableRanking", "rank_variables", "select_variables"]
@@ -118,9 +118,9 @@ def select_variables(ranking: VariableRanking, top_m: int = None, threshold: flo
     if (top_m is None) == (threshold is None):
         raise InvalidInputError("specify exactly one of top_m or threshold")
     if top_m is not None:
-        if not 0 <= top_m <= len(ranking.entries):
+        if not _is_integer(top_m) or not 0 <= top_m <= len(ranking.entries):
             raise InvalidInputError(
-                f"top_m must be between 0 and {len(ranking.entries)}, got {top_m}"
+                f"top_m must be an integer between 0 and {len(ranking.entries)}, got {top_m!r}"
             )
         return [e.name for e in ranking.entries[:top_m]]
     if not np.isfinite(threshold):

@@ -124,6 +124,18 @@ class TestRunExperimentCommand:
         assert (tmp_path / "plots.performance.csv").exists()
 
 
+class TestDatasetReadErrors:
+    @pytest.mark.parametrize("last, shown", [
+        (b"2,0,caf\xe9\n", "not UTF-8 text"),
+        (b"2,0," + b"9" * (csv.field_size_limit() + 1) + b"\n", "line 3: field larger than field limit"),
+    ], ids=["not_utf8", "field_too_large"])
+    def test_unreadable_data_exit_2(self, tmp_path, capsys, last, shown):
+        data = tmp_path / "d.csv"
+        data.write_bytes(b"time,status,a\n1,1,0.5\n" + last)
+        assert run("select", "--data", str(data)) == 2
+        assert f"{data}: {shown}" in capsys.readouterr().err
+
+
 class TestReproducePaperCommand:
     def test_outputs_and_determinism(self, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
@@ -144,6 +156,12 @@ class TestSimulateArguments:
         out = tmp_path / "sim.csv"
         assert run("simulate", "--n", "0", "--out", str(out)) == 2
         assert "n_subjects must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        assert run("simulate", "--seed", "-1", "--out", str(out)) == 2
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_out_exits_before_simulating(self, monkeypatch):

@@ -1,6 +1,7 @@
 import csv
 import gc
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,33 @@ class TestLoadDataset:
         with pytest.raises(DatasetLoadError, match="status"):
             load_dataset(DatasetSpec(path=p))
 
+    def test_missing_column_found_before_a_short_row(self, tmp_path):
+        p = self.write(tmp_path, "time,flag,a\n1,1\n2,0,1.5\n")
+        with pytest.raises(DatasetLoadError, match="required column 'status' not in header"):
+            load_dataset(DatasetSpec(path=p))
+
+    def test_short_row_found_before_a_later_byte_that_is_not_utf8(self, tmp_path, monkeypatch):
+        # The byte comes 10^4 records after the short row on line 3, beyond
+        # the text a block of records decodes.
+        rows = "".join(f"{i + 3},1,0.5\n" for i in range(10_000)).encode()
+        p = tmp_path / "faults.csv"
+        p.write_bytes(b"time,status,a\n1,1,0.5\n2,0\n" + rows + b"3,0,caf\xe9\n")
+        for _ in block_sizes(monkeypatch):
+            with pytest.raises(DatasetLoadError, match="line 3 has 2 fields, expected 3"):
+                load_dataset(DatasetSpec(path=p))
+
+    def test_file_that_is_not_utf8_names_the_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"time,status,a\n1,1,0.5\n2,0,caf\xe9\n")
+        for _ in block_sizes(monkeypatch):
+            with pytest.raises(DatasetLoadError, match=re.escape(f"{p}: not UTF-8 text")):
+                load_dataset(DatasetSpec(path=p))
+
+    def test_field_over_the_csv_limit_names_file_and_line(self, tmp_path):
+        p = self.write(tmp_path, "time,status,a\n1,1,0.5\n2,0," + "9" * (csv.field_size_limit() + 1) + "\n")
+        with pytest.raises(DatasetLoadError, match=re.escape(f"{p}: line 3: field larger than field limit")):
+            load_dataset(DatasetSpec(path=p))
+
     def test_nonpositive_time_names_line(self, tmp_path):
         p = self.write(tmp_path, "time,status,a\n1,1,0.5\n0,1,1.5\n")
         with pytest.raises(DatasetLoadError, match="line 3"):
@@ -192,6 +220,13 @@ class TestLoadDataset:
             DatasetSpec(path="x.csv", covariate_cols=("time",))
         with pytest.raises(InvalidInputError):
             DatasetSpec(path="x.csv", na_policy="impute")
+        with pytest.raises(InvalidInputError, match="covariate_cols names a column more than once"):
+            DatasetSpec(path="x.csv", covariate_cols=("b", "a", "b"))
+
+    @pytest.mark.parametrize("covariates", [(), None, ("b", "a")], ids=["none", "default", "named"])
+    def test_spec_dict_round_trip(self, covariates):
+        spec = DatasetSpec(path="x.csv", covariate_cols=covariates, na_screen_cols=("c",))
+        assert DatasetSpec.from_dict(spec.to_dict()) == spec
 
 
 class TestRoundTrip:
@@ -443,21 +478,25 @@ class TestBlockwiseRead:
             np.testing.assert_array_equal(ds.covariates[:, 0], [2.5, 3.0, 4.0])
 
     def test_file_changed_between_passes_is_an_error(self, tmp_path, monkeypatch):
-        p = self.write(tmp_path, ["time,status,grp", "1,1,1", "2,0,2", "3,1,lo"])
+        # A row added, or the column to read again dropped, before the second pass.
+        edits = (lambda text: text + "4,1,hi\n",
+                 lambda text: "".join(line.rsplit(",", 1)[0] + "\n" for line in text.splitlines()))
         read_columns = dataio._read_columns
 
         def edit_before_second_pass(path, plan):
             if passes:
-                path.write_text(path.read_text() + "4,1,hi\n", encoding="utf-8")
+                path.write_text(edit(path.read_text()), encoding="utf-8")
             passes.append(path)
             return read_columns(path, plan)
 
-        passes = []
         monkeypatch.setattr(dataio, "_read_columns", edit_before_second_pass)
         monkeypatch.setattr(dataio, "_BLOCK_ROWS", 1)
-        with pytest.raises(DatasetLoadError, match="file changed between the two passes"):
-            load_dataset(DatasetSpec(path=p, covariate_cols=("grp",)))
-        assert len(passes) == 2
+        for edit in edits:
+            p = self.write(tmp_path, ["time,status,grp", "1,1,1", "2,0,2", "3,1,lo"])
+            passes = []
+            with pytest.raises(DatasetLoadError, match=re.escape(f"{p}: file changed between the two passes")):
+                load_dataset(DatasetSpec(path=p, covariate_cols=("grp",)))
+            assert len(passes) == 2
 
     def test_load_holds_outputs_plus_one_block(self, tmp_path, traced_peak):
         # 10^5 rows x 9 columns: the arrays returned take 6.9 MiB; reading the
@@ -488,8 +527,7 @@ class TestRowBuffer:
     @pytest.mark.parametrize("newline, last", [("\n", "\n"), ("\n", ""), ("\r\n", "\r\n"), ("\r", "\r"),
                                                ("\n", "\n\n\n")],
                              ids=["lf", "no_final_newline", "crlf", "cr_only", "trailing_blank_lines"])
-    @pytest.mark.parametrize("covariates", [None, ("grp", "a"), ("b", "a", "b")],
-                             ids=["default", "text_first", "named_twice"])
+    @pytest.mark.parametrize("covariates", [None, ("grp", "a")], ids=["default", "text_first"])
     def test_line_endings_and_specs_match_per_token_load(self, tmp_path, monkeypatch, newline, last,
                                                         covariates):
         p = self.write(tmp_path, newline.join(self.TABLE) + last)

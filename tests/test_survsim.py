@@ -26,6 +26,13 @@ class TestSimConfig:
         with pytest.raises(InvalidInputError):
             SimConfig(event_shape=0.0)
 
+    @pytest.mark.parametrize("kwargs", [dict(n_subjects=5.5), dict(n_subjects=True),
+                                        dict(seed=-1), dict(seed=1.5)],
+                             ids=["fractional_size", "bool_size", "negative_seed", "fractional_seed"])
+    def test_rejects_fractional_size_and_bad_seed(self, kwargs):
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            SimConfig(**kwargs)
+
     def test_dict_round_trip(self):
         cfg = SimConfig(seed=9)
         assert SimConfig.from_dict(cfg.to_dict()) == cfg

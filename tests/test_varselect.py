@@ -199,8 +199,9 @@ class TestSelectVariables:
 
     def test_top_m_bounds(self):
         r = make_ranking([("a", -0.5), ("b", -0.2)])
-        with pytest.raises(InvalidInputError):
-            select_variables(r, top_m=3)
+        for top_m in (3, -1, 2.5, True):
+            with pytest.raises(InvalidInputError, match="top_m must be an integer between 0 and 2"):
+                select_variables(r, top_m=top_m)
 
     def test_nonfinite_threshold_rejected(self):
         r = make_ranking([("a", -0.5)])
