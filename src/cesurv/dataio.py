@@ -19,9 +19,11 @@ becomes the covariate matrix in place; the block's tokens are dropped, so
 a load holds its output arrays plus the time and status columns and one
 block.  Values follow Python ``float`` semantics.  A column that turns out
 to be text after some numeric blocks is read again in a second pass, as
-tokens from the start.  Each error is raised where the read finds it, so
-the first fault in file order is the one reported; a file that is not
-UTF-8 text, or a csv field over the csv module's size limit, is a
+tokens from the start.  Each error is raised as the block that holds it
+is read, so a fault in an earlier block is reported first.  Within a
+block, a csv field over the csv module's size limit, or a byte that is not
+UTF-8 (text is decoded some KiB ahead of the records), is found while the
+block is collected, before its field counts are checked; both are a
 ``DatasetLoadError`` too.  Saving formats blocks of rows column by column
 with the same rule as a per-value loop.
 """
@@ -279,8 +281,8 @@ class _Rows:
         copied a block at a time into the front of the buffer, which is
         then shrunk to the matrix: each block of output rows lands before
         the buffer rows still to be read, since the matrix, whose ``names``
-        differ, is no wider than the buffer.  The buffer is not usable
-        afterwards.
+        differ, is no wider than the buffer.  Neither the buffer nor a view
+        of it is usable afterwards.
         """
         n = self.n if kept is None else kept.size
         cols = [self.slots[name] for name in names]
@@ -372,18 +374,24 @@ def _read_columns(p: Path, plan) -> tuple:
     return columns, numbers, blanks, sha
 
 
+def _line(record, blanks) -> int:
+    """The line of csv record ``record`` (the header is line 1), given the records before each blank line."""
+    return record + 2 + bisect.bisect_right(blanks, record)
+
+
 def _add_block(p, rows, n_fields, used, blanks, numbers) -> None:
-    """Check one block's field counts, note its blank lines, then hand its records to the columns."""
+    """Note one block's blank lines, check its field counts, then hand its records to the columns."""
     lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    wrong = np.flatnonzero((lengths != n_fields) & (lengths != 0))
-    if wrong.size:
-        i = wrong[0]
-        line = numbers.n + len(blanks) + i + 2
-        raise DatasetLoadError(f"{p}: line {line} has {lengths[i]} fields, expected {n_fields}")
     empty = np.flatnonzero(lengths == 0)
     if empty.size:
         blanks.extend((numbers.n + empty - np.arange(empty.size)).tolist())
         rows = [row for row in rows if row]
+        lengths = lengths[lengths != 0]
+    wrong = np.flatnonzero(lengths != n_fields)
+    if wrong.size:
+        i = wrong[0]
+        line = _line(numbers.n + i, blanks)
+        raise DatasetLoadError(f"{p}: line {line} has {lengths[i]} fields, expected {n_fields}")
     if rows:
         fields = list(zip(*rows))
         numbers.add([(name, column, column.add(fields[j])) for j, name, column in used], len(rows))
@@ -430,11 +438,6 @@ def load_dataset(spec: DatasetSpec) -> SurvivalDataset:
     """
     columns, numbers, blanks, sha = _read_table(spec.path, _column_plan(spec))
     n_raw = numbers.n
-
-    def line(i):
-        """The line of record ``i``, the header being line 1."""
-        return i + 2 + bisect.bisect_right(blanks, i)
-
     if spec.covariate_cols is None:
         # Default: every remaining column, in header order, whose non-missing
         # values all parse as numbers.
@@ -478,14 +481,15 @@ def load_dataset(spec: DatasetSpec) -> SurvivalDataset:
         tokens = kept_tokens(spec.time_col)
         i = next(i for i, t in enumerate(tokens) if _parse_float(t) is None)
         raise DatasetLoadError(
-            f"{spec.path}: line {line(kept[i])}, column {spec.time_col!r}: "
+            f"{spec.path}: line {_line(kept[i], blanks)}, column {spec.time_col!r}: "
             f"cannot parse {tokens[i]!r} as a number"
         )
-    time = np.ascontiguousarray(time)
+    # A copy: a view of the row buffer would not outlive ``numbers.take``.
+    time = np.array(time)
     bad = np.nonzero(time <= 0)[0]
     if bad.size:
         raise DatasetLoadError(
-            f"{spec.path}: line {line(kept[bad[0]])}, column {spec.time_col!r}: time must be positive"
+            f"{spec.path}: line {_line(kept[bad[0]], blanks)}, column {spec.time_col!r}: time must be positive"
         )
 
     event_num = _parse_float(str(spec.status_event_value))

@@ -144,6 +144,9 @@ class TestLoadDataset:
         p = self.write(tmp_path, "time,status,a\n5,1,1.0\n")
         ds = load_dataset(DatasetSpec(path=p))
         assert ds.n_rows == 1
+        # One row of time is a contiguous view of the row buffer, which the
+        # covariate matrix then overwrites in place.
+        assert (ds.time.tolist(), ds.status.tolist(), ds.covariates.tolist()) == ([5.0], [1], [[1.0]])
 
     def test_status_event_value_mapping(self, tmp_path):
         p = self.write(tmp_path, "time,status,a\n1,2,0.5\n2,1,1.5\n")
@@ -186,6 +189,15 @@ class TestLoadDataset:
         p = self.write(tmp_path, "time,status,a\n1,1,0.5\n2,0," + "9" * (csv.field_size_limit() + 1) + "\n")
         with pytest.raises(DatasetLoadError, match=re.escape(f"{p}: line 3: field larger than field limit")):
             load_dataset(DatasetSpec(path=p))
+
+    def test_field_over_the_limit_found_before_a_short_row_of_its_block(self, tmp_path, monkeypatch):
+        # Field counts are checked once a block is collected, so a short row
+        # on line 3 is reported first only when line 4 is in a later block.
+        p = self.write(tmp_path, "time,status,a\n1,1,0.5\n2,0\n3,1," + "9" * (csv.field_size_limit() + 1) + "\n")
+        for rows in block_sizes(monkeypatch):
+            expected = "line 3 has 2 fields" if rows == 1 else "line 4: field larger than field limit"
+            with pytest.raises(DatasetLoadError, match=expected):
+                load_dataset(DatasetSpec(path=p))
 
     def test_nonpositive_time_names_line(self, tmp_path):
         p = self.write(tmp_path, "time,status,a\n1,1,0.5\n0,1,1.5\n")
@@ -542,6 +554,22 @@ class TestRowBuffer:
             ds = load_dataset(DatasetSpec(path=p, covariate_cols=()))
             assert ds.names == [] and ds.covariates.shape == (5, 0)
             np.testing.assert_array_equal(ds.time, [1, 2, 3, 4, 5])
+
+    @pytest.mark.parametrize("covariates", [(), None], ids=["none_named", "default"])
+    def test_time_outlives_a_matrix_of_no_columns(self, tmp_path, covariates):
+        # Text status values leave time the row buffer's only column, so a
+        # view of it; a matrix of no columns must not free the buffer.  The
+        # file is past malloc's mmap threshold.
+        rng = np.random.default_rng(3)
+        time = rng.integers(1, 1000, 20_000)
+        dead = rng.random(20_000) < 0.5
+        rows = [f"{t},{'dead' if d else 'alive'}" for t, d in zip(time.tolist(), dead.tolist())]
+        p = self.write(tmp_path, "\n".join(["time,status", *rows]) + "\n")
+        ds = load_dataset(DatasetSpec(path=p, status_event_value="dead", covariate_cols=covariates))
+        scratch = [np.full(5000, -1.0) for _ in range(50)]
+        assert ds.covariates.shape == (20_000, 0) and len(scratch) == 50
+        np.testing.assert_array_equal(ds.time, time)
+        np.testing.assert_array_equal(ds.status, dead)
 
     def test_more_records_than_counted_lines_grow_the_buffer(self, tmp_path, monkeypatch):
         rows = [f"{i + 1},{i % 2},{i * 0.25},{'NA' if i % 7 == 3 else i}" for i in range(50)]
