@@ -31,7 +31,7 @@ def _add_estimator_flags(p):
     p.add_argument("--norm", choices=("max", "euclidean"), default="max",
                    help="distance norm (default max)")
     p.add_argument("--seed", type=int, default=0,
-                   help="simulation seed and tie-break jitter seed (default 0)")
+                   help="simulation seed and tie-break seed (default 0)")
 
 
 def _add_dataset_flags(p):

@@ -35,7 +35,8 @@ __all__ = [
 ]
 
 # Zero kth-neighbor distances would make the entropy sum diverge; exact
-# duplicates surviving the tie jitter are floored here before the log.
+# duplicate rows of a sample (never those of a copula) are floored here
+# before the log.
 _EPS_FLOOR = 1e-12
 
 _NORMS = ("max", "euclidean")
@@ -70,9 +71,8 @@ class EstimatorConfig:
 
     k:           neighbor count for the entropy step.
     norm:        "max" (Chebyshev, default) or "euclidean".
-    tie_jitter:  relative magnitude of the deterministic perturbation used
-                 to break ties before ranking (scaled by column std).
-    jitter_seed: seed of the per-row perturbation stream.
+    jitter_seed: seed of the per-column draws that order tied values
+                 before ranking.
     boundary_correction:
                  clip neighbor-ball volumes to the unit cube when estimating
                  the entropy of copula pseudo-observations.  Removes most of
@@ -82,7 +82,6 @@ class EstimatorConfig:
 
     k: int = 3
     norm: str = "max"
-    tie_jitter: float = 1e-10
     jitter_seed: int = 0
     boundary_correction: bool = True
 
@@ -91,9 +90,6 @@ class EstimatorConfig:
             raise InvalidInputError(f"k must be an integer >= 1, got {self.k!r}")
         if self.norm not in _NORMS:
             raise InvalidInputError(f"norm must be one of {_NORMS}, got {self.norm!r}")
-        # nan would order ties by row in every column, inf would ignore the values.
-        if not 0 <= self.tie_jitter < math.inf:
-            raise InvalidInputError(f"tie_jitter must be finite and >= 0, got {self.tie_jitter!r}")
         if not _is_integer(self.jitter_seed) or self.jitter_seed < 0:
             raise InvalidInputError(f"jitter_seed must be an integer >= 0, got {self.jitter_seed!r}")
 
@@ -141,7 +137,7 @@ def digamma(x: float) -> float:
     return result + math.log(x) - 0.5 * inv + inv2 * series
 
 
-# Mixed into the jitter stream seed so that plain integer data seeds used
+# Mixed into the tie-break stream seed so that plain integer data seeds used
 # elsewhere (simulators, tests) can never reproduce the same stream.
 _JITTER_STREAM_TAG = 0x9E3779B97F4A7C15
 
@@ -168,86 +164,46 @@ def _column_stream(col: np.ndarray, cfg: EstimatorConfig) -> np.random.Generator
     return np.random.default_rng((_JITTER_STREAM_TAG, cfg.jitter_seed, key))
 
 
-def _tie_break(col: np.ndarray, cfg: EstimatorConfig) -> tuple:
-    """Perturb one column so ranking is unambiguous, deterministically in jitter_seed.
+def _copula_order(col: np.ndarray, cfg: EstimatorConfig) -> np.ndarray:
+    """The permutation that sorts one column by (value, draw, row): ``np.lexsort((draws, col))``.
 
-    The offset for row i is tie_jitter * std * u_i, with the u_i drawn from
-    the column's own stream (``_column_stream``).  Tied blocks in different
-    columns are therefore ordered independently of each other, as
-    randomized tie-breaking of discrete margins requires (Genest &
+    The draws come from the column's own stream (``_column_stream``), so
+    tied blocks in different columns are ordered independently of each
+    other, as randomized tie-breaking of discrete margins requires (Genest &
     Neslehova, "A primer on copulas for count data", ASTIN Bulletin 37(2),
     2007).  A stream shared across columns would order every tied block by
-    the same u_i, put the copula points of tied rows on a diagonal, and read
-    as dependence.
-
-    Returns the perturbed values and the draws u.  Where the offset is
-    below the spacing of floats at the column's values, perturbed values
-    still collide, so the ranking orders by u after the value.  A column
-    whose std overflows (values of about 1e154 and up) takes the std of
-    ``col / max|col|`` times ``max|col|`` instead, which is finite.  Sums
-    that overflow (values within about 1e-10 of the largest float) are
-    clipped to the largest float, where they tie and are ordered by u.
+    the same draws, put the copula points of tied rows on a diagonal, and
+    read as dependence.  Distinct values are ordered by value alone, so a
+    strictly increasing map of the column leaves the order unchanged.  A
+    column without ties needs no draws: its argsort is the order.
     """
-    draws = _column_stream(col, cfg).random(col.size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = col.std()
-    if not math.isfinite(scale):
-        peak = np.abs(col).max()
-        scale = (col / peak).std() * peak
-    perturbed = draws * (cfg.tie_jitter * (scale if scale != 0.0 else 1.0))
-    with np.errstate(over="ignore"):
-        perturbed += col
-    np.minimum(perturbed, np.finfo(float).max, out=perturbed)
-    return perturbed, draws
+    order = np.argsort(col)
+    ranked = col[order]
+    if (ranked[1:] != ranked[:-1]).all():
+        return order
+    del order, ranked
+    return np.lexsort((_column_stream(col, cfg).random(col.size), col))
 
 
 def empirical_copula(x, cfg: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
     """Map each column to rank / N (ranks 1-based), the empirical copula.
 
-    Tie-free columns come out as a permutation of {1/N, ..., 1}; ties are
-    broken by the deterministic jitter in ``cfg``, drawn independently for
-    each column, so tied values get a uniformly random order within their
-    block and repeated calls agree exactly.  Rows are ordered by (perturbed
-    value, jitter draw): the value's rounding is monotone in the draw, so
-    a block whose jitter rounds away is ordered as if it had not, and never
-    falls back to row order, which every column would share.  Output
-    entries lie in (0, 1].  Columns are handled one at a time, so the
-    scratch memory is a few columns whatever the width.
+    Tie-free columns come out as a permutation of {1/N, ..., 1}.  Rows are
+    ranked by (value, draw), with the draws taken from a stream of each
+    column's own, keyed on ``cfg.jitter_seed`` and the column's tie pattern:
+    tied values get a uniformly random order within their block, repeated
+    calls agree exactly, and a strictly increasing map of a column leaves
+    its ranks unchanged.  Output entries lie in (0, 1].  Columns are handled
+    one at a time, so the scratch memory is a few columns whatever the
+    width.
     """
     x = as_sample_matrix(x)
     n, d = x.shape
     out = np.empty((n, d))
     levels = np.arange(1, n + 1) / float(n)
     for j in range(d):
-        out[_value_draw_order(*_tie_break(x[:, j], cfg)), j] = levels
+        out[_copula_order(x[:, j], cfg), j] = levels
     return out
-
-
-def _value_draw_order(values: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """The permutation ``np.lexsort((draws, values))``, from one argsort.
-
-    A stable sort by value leaves each run of equal values in row order;
-    only the rows of such runs, a small share once the jitter is added, are
-    then sorted by (value, draw), stably, so rows equal in both keep row
-    order as in the lexsort.  The sorted values are freed before that sort,
-    so it holds the order plus arrays the size of the runs.
-    """
-    order = np.argsort(values, kind="stable")
-    ranked = values[order]
-    tied = ranked[1:] == ranked[:-1]
-    if not tied.any():
-        return order
-    in_run = np.zeros(order.size, dtype=bool)
-    in_run[1:] = tied
-    in_run[:-1] |= tied
-    del tied
-    pos = np.flatnonzero(in_run)
-    del in_run
-    run_values = ranked[pos]
-    del ranked
-    members = order[pos]
-    order[pos] = members[np.lexsort((draws[members], run_values))]
-    return order
 
 
 def _kth_nn_distance(u: np.ndarray, k: int, norm: str) -> np.ndarray:

@@ -44,7 +44,7 @@ SELECTED_MODEL_LABEL = "ce_selected"
 # numbers; embedded verbatim in every report.
 _CONVENTIONS = {
     "rank_normalization": "rank/N",
-    "tie_break": "jitter drawn per column from a stream keyed on jitter_seed and the column's tie pattern; rows ranked by (value + jitter, draw)",
+    "tie_break": "draws per column from a stream keyed on jitter_seed and the column's tie pattern; rows ranked by (value, draw)",
     "point_prediction": "conditional median",
     "mae_rule": "events only",
     "c_index_ties": "prediction ties weight 0.5; tied times not comparable",

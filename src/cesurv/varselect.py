@@ -57,7 +57,7 @@ def rank_variables(
     """Score every covariate by CE with (time[, status]) and sort ascending.
 
     Ties in CE keep the covariates' input column order.  Constant columns are
-    flagged; the tie-break jitter turns them into independent noise so they
+    flagged; the tie-break draws turn them into independent noise so they
     score near zero rather than erroring.
     """
     return _rank(ds, (with_status,), cfg)[0]

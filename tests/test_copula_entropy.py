@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.spatial import cKDTree
 from scipy.special import digamma as scipy_digamma
 
@@ -15,7 +15,6 @@ from cesurv.copula_entropy import (
     _column_stream,
     _kth_nn_distance,
     _unit_cube_entropies,
-    _value_draw_order,
     as_sample_matrix,
     copula_entropy,
     digamma,
@@ -122,50 +121,44 @@ class TestEmpiricalCopula:
         out = empirical_copula(rng.integers(0, 3, size=(30, 2)).astype(float), CFG)
         assert (out > 0).all() and (out <= 1).all()
 
-    @pytest.mark.parametrize(
-        "values, draws",
-        [
-            ([1.0, 1.0], [0.5, 0.5]),
-            ([2.0, 1.0], [0.1, 0.9]),
-            ([3.0] * 7, [0.4, 0.1, 0.4, 0.9, 0.1, 0.1, 0.0]),
-            ([0.0, -0.0, 0.0, -0.0, 1.0, -0.0], [0.3, 0.3, 0.2, 0.3, 0.1, 0.2]),
-            ([1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 2.0], [0.5] * 7),
-        ],
-        ids=["n2_equal", "n2_distinct", "all_equal", "signed_zeros", "equal_draws_in_runs"],
-    )
-    def test_value_draw_order_equals_lexsort(self, values, draws):
-        values, draws = np.array(values), np.array(draws)
-        np.testing.assert_array_equal(_value_draw_order(values, draws), np.lexsort((draws, values)))
-
-    def test_value_draw_order_equals_lexsort_on_random_ties(self):
-        rng = np.random.default_rng(17)
-        levels = np.array([-1.5, -0.0, 0.0, 1.0, 2.0])
-        for n in range(2, 300, 7):
-            values = rng.choice(levels, size=n)
-            draws = rng.choice(np.array([0.125, 0.25, 0.5]), size=n)
-            np.testing.assert_array_equal(_value_draw_order(values, draws), np.lexsort((draws, values)))
-            draws = rng.random(n)
-            np.testing.assert_array_equal(_value_draw_order(values, draws), np.lexsort((draws, values)))
-
     def test_rejects_one_row(self):
         with pytest.raises(InvalidInputError):
             empirical_copula(np.array([[1.0, 2.0]]), CFG)
 
     def test_ranks_by_value_where_std_overflows(self):
-        # The std of values near 1e200 overflows, and values near the largest
-        # float overflow once jittered; the ranks must still follow the
-        # values, with no floating-point warning.  The two values near the
-        # largest float tie after the jitter, so either may rank first.
+        # The std of values near 1e200 overflows; the ranks must still follow
+        # the values, up to the largest float, with no floating-point warning.
         top = 1.7976931348623157e308
         cases = [
-            ([3e200, 1e200, 2e200, -1e200, 0, 5e200], [[5, 3, 4, 1, 2, 6]]),
-            ([top, 1.79769313486e308, -top, 0, 1e308], [[4, 5, 1, 2, 3], [5, 4, 1, 2, 3]]),
+            ([3e200, 1e200, 2e200, -1e200, 0, 5e200], [5, 3, 4, 1, 2, 6]),
+            ([top, 1.79769313486e308, -top, 0, 1e308], [5, 4, 1, 2, 3]),
         ]
-        for values, allowed in cases:
+        for values, ranks in cases:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 out = empirical_copula(values, CFG)
-            assert (out.ravel() * len(values)).tolist() in allowed
+            assert (out.ravel() * len(values)).tolist() == ranks
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(6, 80),
+        gap=st.floats(1e-12, 5e-11),
+        tied=st.integers(0, 3),
+    )
+    @example(seed=1, n=50, gap=3e-11, tied=0)
+    def test_invariant_to_increasing_maps_of_close_values(self, seed, n, gap, tied):
+        # Two distinct values 1e-12 to 5e-11 apart, far below 1e-10 x std,
+        # and optionally a tied block: exp, x**3 and 10*x keep every value
+        # distinct here, so each must leave the copula bitwise unchanged.
+        x = np.random.default_rng(seed).standard_normal(n)
+        x[1] = x[0] + gap
+        x[n - tied:] = x[n - tied - 1]
+        mapped = [np.exp(x), x**3, 10 * x]
+        assume(all(np.unique(y).size == np.unique(x).size for y in mapped))
+        want = empirical_copula(x, CFG).tobytes()
+        for y in mapped:
+            assert empirical_copula(y, CFG).tobytes() == want
 
 
 class TestKnnEntropy:
@@ -316,7 +309,7 @@ class TestCopulaEntropy:
         rng = np.random.default_rng(22)
         x = rng.standard_normal(400)
         y = 0.5 * x + rng.standard_normal(400)
-        y[::9] = y[0]  # ties exercise the jitter path
+        y[::9] = y[0]  # ties exercise the tie-break draws
         # A binary column against a heavily tied one: every row sits in a
         # tied block of both columns.
         b = rng.integers(0, 2, 400).astype(float)
@@ -384,9 +377,9 @@ class TestCopulaEntropy:
 
     @pytest.mark.parametrize("offset", [1e7, 1e12])
     def test_offset_where_jitter_rounds_away(self, offset):
-        # At 1e7 and above, tie_jitter * std is below the spacing of floats,
-        # so the jitter leaves the values tied; ties must still be ordered
-        # by each column's own draws, not by the row order all columns share.
+        # The offset keeps the tie pattern of each column, so ties must still
+        # be ordered by each column's own draws, not by the row order all
+        # columns share, and the estimate must not move.
         x = np.random.default_rng(5).integers(0, 2, (1000, 2)).astype(float)
         assert copula_entropy(x + offset, CFG) == copula_entropy(x, CFG)
         assert abs(copula_entropy(x + offset, CFG)) < 0.1
@@ -418,12 +411,6 @@ class TestEstimatorConfig:
     def test_rejects_bad_norm(self):
         with pytest.raises(InvalidInputError):
             EstimatorConfig(norm="manhattan")
-
-    def test_rejects_negative_jitter(self):
-        # nan orders ties by row in every column; inf ignores the values.
-        for jitter in (-1e-3, math.nan, math.inf):
-            with pytest.raises(InvalidInputError):
-                EstimatorConfig(tie_jitter=jitter)
 
     def test_rejects_negative_jitter_seed(self):
         for seed in (-1, 1.5):
@@ -461,20 +448,16 @@ def stream_key_by_unique(col):
 
 def empirical_copula_whole_matrix(x, cfg):
     """The whole-matrix formula the column loop replaced, as the reference:
-    every column's draws, the matrix std and all perturbed columns at once,
-    each column ordered by np.lexsort((draws, perturbed))."""
+    every column's draws at once, each column ordered by np.lexsort((draws, values))."""
     x = as_sample_matrix(x)
     n = x.shape[0]
     u = np.column_stack([
         np.random.default_rng((_JITTER_STREAM_TAG, cfg.jitter_seed, stream_key_by_unique(col))).random(n)
         for col in x.T
     ])
-    scale = x.std(axis=0)
-    scale[scale == 0.0] = 1.0
-    xp = x + cfg.tie_jitter * scale[None, :] * u
     ranks = np.empty(x.shape, dtype=np.intp)
     for j in range(x.shape[1]):
-        ranks[np.lexsort((u[:, j], xp[:, j])), j] = np.arange(1, n + 1)
+        ranks[np.lexsort((u[:, j], x[:, j])), j] = np.arange(1, n + 1)
     return ranks / float(n)
 
 
@@ -491,9 +474,9 @@ class TestColumnAtATime:
     """The bounded-memory kernels give bitwise the numbers of the whole-matrix formulas."""
 
     @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(x=sample_matrices(), seed=st.integers(0, 2**32), jitter=st.sampled_from((1e-10, 1e-3, 0.0)))
-    def test_empirical_copula_equals_whole_matrix_formula(self, x, seed, jitter):
-        cfg = EstimatorConfig(jitter_seed=seed, tie_jitter=jitter)
+    @given(x=sample_matrices(), seed=st.integers(0, 2**32))
+    def test_empirical_copula_equals_whole_matrix_formula(self, x, seed):
+        cfg = EstimatorConfig(jitter_seed=seed)
         out = empirical_copula(x, cfg)
         assert out.tobytes() == empirical_copula_whole_matrix(x, cfg).tobytes()
         assert out.flags.c_contiguous
