@@ -22,6 +22,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.special import digamma
 
 from .errors import InvalidInputError, _is_integer
 
@@ -31,7 +32,6 @@ __all__ = [
     "empirical_copula",
     "knn_entropy",
     "copula_entropy",
-    "digamma",
 ]
 
 # Zero kth-neighbor distances would make the entropy sum diverge; exact
@@ -117,24 +117,6 @@ def as_sample_matrix(values) -> np.ndarray:
         bad = np.argwhere(~np.isfinite(x))[0]
         raise InvalidInputError(f"non-finite entry at row {bad[0]}, column {bad[1]}")
     return x
-
-
-def digamma(x: float) -> float:
-    """Digamma via upward recurrence to x >= 6 plus the asymptotic series."""
-    if x <= 0:
-        raise InvalidInputError(f"digamma requires x > 0, got {x}")
-    result = 0.0
-    while x < 6.0:
-        result -= 1.0 / x
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    # Bernoulli-number tail of the asymptotic expansion, through x**-12.
-    series = (
-        -1.0 / 12.0
-        + inv2 * (1.0 / 120.0 + inv2 * (-1.0 / 252.0 + inv2 * (1.0 / 240.0 + inv2 * (-1.0 / 132.0 + inv2 * (691.0 / 32760.0)))))
-    )
-    return result + math.log(x) - 0.5 * inv + inv2 * series
 
 
 # Mixed into the tie-break stream seed so that plain integer data seeds used
@@ -284,7 +266,7 @@ def knn_entropy(u, cfg: EstimatorConfig = EstimatorConfig(), unit_support: bool 
     eps = _kth_nn_distance(u, cfg.k, cfg.norm)
     eps *= 2.0
     np.maximum(eps, _EPS_FLOOR, out=eps)
-    base = -digamma(float(cfg.k)) + digamma(float(n))
+    base = float(-digamma(float(cfg.k)) + digamma(float(n)))
     if unit_support and cfg.boundary_correction and cfg.norm == "max":
         eps /= 2.0
         return base + float(_log_clipped_widths(u, eps).mean())

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.spatial import cKDTree
-from scipy.special import digamma as scipy_digamma
+from scipy.special import digamma
 
 from cesurv.copula_entropy import (
     _JITTER_STREAM_TAG,
@@ -17,7 +17,6 @@ from cesurv.copula_entropy import (
     _unit_cube_entropies,
     as_sample_matrix,
     copula_entropy,
-    digamma,
     empirical_copula,
     knn_entropy,
 )
@@ -57,19 +56,6 @@ def gaussian_pair(rho, n, seed):
     rng = np.random.default_rng(seed)
     z1, z2 = rng.standard_normal(n), rng.standard_normal(n)
     return np.column_stack([z1, rho * z1 + math.sqrt(1.0 - rho * rho) * z2])
-
-
-class TestDigamma:
-    def test_euler_mascheroni(self):
-        assert abs(digamma(1.0) - (-0.5772156649)) < 1e-9
-
-    def test_matches_scipy_on_grid(self):
-        for x in (0.25, 0.5, 1.0, 2.0, 3.0, 5.5, 6.0, 10.0, 167.0, 2000.0):
-            assert abs(digamma(x) - scipy_digamma(x)) < 1e-10
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(InvalidInputError):
-            digamma(0.0)
 
 
 class TestSampleMatrix:
