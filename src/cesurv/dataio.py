@@ -30,7 +30,6 @@ with the same rule as a per-value loop.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import gc
 import hashlib
@@ -308,15 +307,13 @@ def _line_count(p: Path) -> int:
 
 
 def _read_table(path, plan) -> tuple:
-    """Kept columns, row buffer, blank lines and sha256 of a file.
+    """Kept columns, row buffer and sha256 of a file.
 
     ``plan(header)`` maps the name of each column to keep to a fresh
     ``_Column``.  The file is read in blocks of ``_BLOCK_ROWS`` csv records
-    while the raw bytes feed the digest.  Blank lines are skipped, and each
-    one is noted as the number of records before it, so that line numbers
-    count csv records, the header being line 1.  Columns that turn to text
-    after number blocks are read in a second pass, as tokens from the
-    start; the file must hash the same both times.
+    while the raw bytes feed the digest.  Blank lines are skipped.  Columns
+    that turn to text after number blocks are read in a second pass, as
+    tokens from the start; the file must hash the same both times.
     """
     p = Path(path)
     if not p.is_file():
@@ -327,17 +324,17 @@ def _read_table(path, plan) -> tuple:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        columns, numbers, blanks, sha = _read_columns(p, plan)
+        columns, numbers, sha = _read_columns(p, plan)
         late = [name for name, column in columns.items() if column.late]
         if late:
-            again, _, _, sha_again = _read_columns(p, lambda _: {name: _Column(_TOKENS) for name in late})
+            again, _, sha_again = _read_columns(p, lambda _: {name: _Column(_TOKENS) for name in late})
             if sha_again != sha:
                 raise DatasetLoadError(f"{p}: file changed between the two passes of its read")
             columns.update(again)
     finally:
         if gc_was_enabled:
             gc.enable()
-    return columns, numbers, blanks, sha
+    return columns, numbers, sha
 
 
 def _read_columns(p: Path, plan) -> tuple:
@@ -346,23 +343,19 @@ def _read_columns(p: Path, plan) -> tuple:
     A column of the plan that the header lacks is not read: only a file
     changed before a second pass can lose one, and its digest differs.
     """
-    numbers, blanks = _Rows(_line_count(p)), []
+    numbers = _Rows(_line_count(p))
     with open(p, "rb") as raw:
         hashing = _Sha256Reader(raw)
         text = io.TextIOWrapper(io.BufferedReader(hashing), encoding="utf-8", newline="")
         try:
-            header_line = text.readline()
-            delim = max(_DELIMITERS, key=header_line.count)
-            if header_line.count(delim) == 0:
-                raise DatasetLoadError(f"{p}: could not find a delimiter in the header row")
-            reader = csv.reader(itertools.chain([header_line], text), delimiter=delim)
+            reader = _csv_reader(p, text)
             header = next(reader)
             if len(set(header)) != len(header):
                 raise DatasetLoadError(f"{p}: duplicate column names in header")
             columns = plan(header)
             used = [(j, name, columns[name]) for j, name in enumerate(header) if name in columns]
             while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
-                _add_block(p, rows, len(header), used, blanks, numbers)
+                _add_block(p, rows, len(header), used, numbers)
                 del rows
         except UnicodeDecodeError as e:
             raise DatasetLoadError(f"{p}: not UTF-8 text ({e.reason})") from e
@@ -371,26 +364,48 @@ def _read_columns(p: Path, plan) -> tuple:
         sha = hashing.sha256.hexdigest()
     for column in columns.values():
         column.finish()
-    return columns, numbers, blanks, sha
+    return columns, numbers, sha
 
 
-def _line(record, blanks) -> int:
-    """The line of csv record ``record`` (the header is line 1), given the records before each blank line."""
-    return record + 2 + bisect.bisect_right(blanks, record)
+def _csv_reader(p, text):
+    """A csv reader of a text file, header row included, in the delimiter its header uses most."""
+    header_line = text.readline()
+    delim = max(_DELIMITERS, key=header_line.count)
+    if header_line.count(delim) == 0:
+        raise DatasetLoadError(f"{p}: could not find a delimiter in the header row")
+    return csv.reader(itertools.chain([header_line], text), delimiter=delim)
 
 
-def _add_block(p, rows, n_fields, used, blanks, numbers) -> None:
-    """Note one block's blank lines, check its field counts, then hand its records to the columns."""
+def _line(p, record) -> int:
+    """The file line on which csv record ``record`` starts, 0 being the first record below the header.
+
+    The header starts on line 1, blank lines count, and a quoted field can
+    hold line breaks, so the file is read again up to the record.  Only an
+    error message needs the line, so the read loop keeps no line numbers.
+    """
+    with open(p, encoding="utf-8", newline="") as text:
+        reader = _csv_reader(p, text)
+        next(reader)
+        start = reader.line_num + 1
+        for row in reader:
+            if row:
+                if record == 0:
+                    return start
+                record -= 1
+            start = reader.line_num + 1
+    raise DatasetLoadError(f"{p}: file changed while its read error was located")
+
+
+def _add_block(p, rows, n_fields, used, numbers) -> None:
+    """Drop one block's blank lines, check its field counts, then hand its records to the columns."""
     lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    empty = np.flatnonzero(lengths == 0)
-    if empty.size:
-        blanks.extend((numbers.n + empty - np.arange(empty.size)).tolist())
+    if not lengths.all():
         rows = [row for row in rows if row]
         lengths = lengths[lengths != 0]
     wrong = np.flatnonzero(lengths != n_fields)
     if wrong.size:
         i = wrong[0]
-        line = _line(numbers.n + i, blanks)
+        line = _line(p, numbers.n + i)
         raise DatasetLoadError(f"{p}: line {line} has {lengths[i]} fields, expected {n_fields}")
     if rows:
         fields = list(zip(*rows))
@@ -436,7 +451,7 @@ def load_dataset(spec: DatasetSpec) -> SurvivalDataset:
     Text covariates become integer codes by first appearance; the mapping,
     drop count and file hash are recorded in ``dataset.attrs``.
     """
-    columns, numbers, blanks, sha = _read_table(spec.path, _column_plan(spec))
+    columns, numbers, sha = _read_table(spec.path, _column_plan(spec))
     n_raw = numbers.n
     if spec.covariate_cols is None:
         # Default: every remaining column, in header order, whose non-missing
@@ -481,7 +496,7 @@ def load_dataset(spec: DatasetSpec) -> SurvivalDataset:
         tokens = kept_tokens(spec.time_col)
         i = next(i for i, t in enumerate(tokens) if _parse_float(t) is None)
         raise DatasetLoadError(
-            f"{spec.path}: line {_line(kept[i], blanks)}, column {spec.time_col!r}: "
+            f"{spec.path}: line {_line(spec.path, kept[i])}, column {spec.time_col!r}: "
             f"cannot parse {tokens[i]!r} as a number"
         )
     # A copy: a view of the row buffer would not outlive ``numbers.take``.
@@ -489,7 +504,7 @@ def load_dataset(spec: DatasetSpec) -> SurvivalDataset:
     bad = np.nonzero(time <= 0)[0]
     if bad.size:
         raise DatasetLoadError(
-            f"{spec.path}: line {_line(kept[bad[0]], blanks)}, column {spec.time_col!r}: time must be positive"
+            f"{spec.path}: line {_line(spec.path, kept[bad[0]])}, column {spec.time_col!r}: time must be positive"
         )
 
     event_num = _parse_float(str(spec.status_event_value))

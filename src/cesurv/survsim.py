@@ -111,6 +111,9 @@ class SurvivalDataset:
             raise InvalidInputError("time, status and covariates disagree on row count")
         if len(self.names) != self.covariates.shape[1]:
             raise InvalidInputError("one name per covariate column required")
+        # Columns are selected by name, so a repeated name would select only its first column.
+        if len(set(self.names)) != len(self.names):
+            raise InvalidInputError(f"covariate names must be unique, got {list(self.names)}")
         if not np.isfinite(self.covariates).all():
             raise InvalidInputError("covariates contain non-finite values")
         if not np.isfinite(self.time).all() or (self.time <= 0).any():

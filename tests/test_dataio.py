@@ -392,6 +392,19 @@ class TestColumnarIO:
             with pytest.raises(DatasetLoadError, match="line 4 has 2 fields, expected 3"):
                 load_dataset(DatasetSpec(path=p))
 
+    def test_line_numbers_count_line_breaks_in_quoted_fields(self, tmp_path, monkeypatch):
+        # The record after a quoted field that holds a line break starts on
+        # line 4, not on the third line the records alone would give.
+        short = tmp_path / "short.csv"
+        short.write_text('time,status,a\n1,1,"x\ny"\n2,0\n', encoding="utf-8")
+        bad_time = tmp_path / "bad_time.csv"
+        bad_time.write_text('time,status,a\n1,1,"x\ny"\noops,0,z\n', encoding="utf-8")
+        for _ in block_sizes(monkeypatch):
+            with pytest.raises(DatasetLoadError, match="line 4 has 2 fields, expected 3"):
+                load_dataset(DatasetSpec(path=short))
+            with pytest.raises(DatasetLoadError, match="line 4, column 'time': cannot parse 'oops'"):
+                load_dataset(DatasetSpec(path=bad_time))
+
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
     def test_gc_state_restored_after_load(self, tmp_path, enabled):
         # The read pauses the cyclic collector; it must come back as it was,

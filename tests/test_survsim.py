@@ -94,6 +94,11 @@ class TestSurvivalDataset:
         with pytest.raises(InvalidInputError):
             SurvivalDataset(np.zeros((3, 1)), [1.0, 2.0], [1, 0], ["a"])
 
+    def test_rejects_repeated_name(self):
+        # fit and select pick columns by name, so the second "a" could never be chosen.
+        with pytest.raises(InvalidInputError, match="unique"):
+            SurvivalDataset(np.zeros((2, 2)), [1.0, 2.0], [1, 0], ["a", "a"])
+
     def test_column_lookup(self):
         ds = SurvivalDataset(np.array([[1.0, 2.0], [3.0, 4.0]]), [1, 2], [1, 0], ["a", "b"])
         np.testing.assert_array_equal(ds.column("b"), [2.0, 4.0])
