@@ -64,12 +64,25 @@ class AFTModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AFTModel":
-        """Inverse of ``to_dict``; the derived ``scale`` is ignored."""
+        """Inverse of ``to_dict``; the derived ``scale`` is ignored.
+
+        Rejects a model that cannot be scored: a non-finite intercept,
+        coefficient or log scale, or a log scale whose exp overflows.
+        """
         kwargs = dataclass_kwargs(cls, d, ignore=("scale",))
         coefficients = np.asarray(kwargs.pop("coefficients"), dtype=float)
         if coefficients.shape != (len(kwargs["included"]),):
             raise InvalidInputError(
                 f"{coefficients.size} coefficients for {len(kwargs['included'])} covariates")
+        for name, value in (("intercept", kwargs["intercept"]), ("coefficients", coefficients),
+                            ("log_scale", kwargs["log_scale"])):
+            if not np.isfinite(value).all():
+                raise InvalidInputError(f"AFTModel field {name!r} must be finite, got {d[name]!r}")
+        try:
+            math.exp(kwargs["log_scale"])
+        except OverflowError:
+            raise InvalidInputError(
+                f"AFTModel field 'log_scale' is too large: exp({kwargs['log_scale']!r}) overflows") from None
         return cls(coefficients=coefficients, **kwargs)
 
 

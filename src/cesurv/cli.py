@@ -2,7 +2,8 @@
 
 Subcommands: simulate, select, fit, evaluate, run-experiment and
 reproduce-paper (simulation plus both bundled benchmark datasets).
-Exit codes: 0 success, 2 invalid input, 3 numerical failure.
+Exit codes: 0 success, 2 invalid input (an unusable path or file
+included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .copula_entropy import EstimatorConfig
 from .dataio import DatasetSpec, bundled_dataset_spec, save_dataset
 from .errors import CesurvError, InvalidInputError, NumericalError
 from .experiment import (dataset_from_source, evaluate, run_experiment, write_performance_table,
-                         write_ranking, write_ranking_table)
+                         write_ranking_table)
 from .survsim import SimConfig, simulate
 from .varselect import rank_variables, select_variables
 
@@ -28,8 +29,6 @@ EXIT_NUMERICAL = 3
 
 def _add_estimator_flags(p):
     p.add_argument("--k", type=int, default=3, help="neighbor count (default 3)")
-    p.add_argument("--norm", choices=("max", "euclidean"), default="max",
-                   help="distance norm (default max)")
     p.add_argument("--seed", type=int, default=0,
                    help="simulation seed and tie-break seed (default 0)")
 
@@ -49,7 +48,7 @@ def _add_dataset_flags(p):
 
 
 def _estimator_cfg(args) -> EstimatorConfig:
-    return EstimatorConfig(k=args.k, norm=args.norm, jitter_seed=args.seed)
+    return EstimatorConfig(k=args.k, jitter_seed=args.seed)
 
 
 def _parse_event_value(raw):
@@ -62,8 +61,11 @@ def _parse_event_value(raw):
 
 def _read_object(path) -> dict:
     """The JSON object a settings or model file holds."""
-    with open(path, encoding="utf-8") as fh:
-        d = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            d = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise InvalidInputError(f"{path}: not a JSON file ({e})") from e
     if not isinstance(d, dict):
         raise InvalidInputError(f"{path}: expected a JSON object, got {type(d).__name__}")
     return d
@@ -122,7 +124,7 @@ def _cmd_select(args):
         result["selected"] = select_variables(ranking, top_m=args.top)
     _write_text(args.out, json.dumps(result, indent=2) + "\n")
     if args.plot_data:
-        write_ranking(ranking, args.plot_data)
+        write_ranking_table(ranking, args.plot_data)
     return 0
 
 
@@ -151,7 +153,7 @@ def _cmd_run_experiment(args):
     _write_text(args.out, report.to_json())
     if args.plot_data:
         prefix = Path(args.plot_data)
-        write_ranking_table(report, prefix.with_suffix(".ranking.csv"))
+        write_ranking_table(report.ranking, prefix.with_suffix(".ranking.csv"), report.ranking_with_status)
         write_performance_table(report, prefix.with_suffix(".performance.csv"))
     return 0
 
@@ -168,7 +170,7 @@ def _cmd_reproduce_paper(args):
     for name, source, extra in runs:
         report = run_experiment(source, estimator_cfg=cfg, top_m=4, **extra)
         (outdir / f"{name}_report.json").write_text(report.to_json(), encoding="utf-8")
-        write_ranking_table(report, outdir / f"{name}_ranking.csv")
+        write_ranking_table(report.ranking, outdir / f"{name}_ranking.csv", report.ranking_with_status)
         write_performance_table(report, outdir / f"{name}_performance.csv")
         print(f"{name}: selected {report.selected}")
         for ev in report.evaluations:
@@ -246,11 +248,8 @@ def main(argv=None) -> int:
     except CesurvError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except json.JSONDecodeError as e:
-        print(f"error: invalid JSON input ({e})", file=sys.stderr)
         return EXIT_INVALID_INPUT
 
 

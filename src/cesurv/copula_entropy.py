@@ -15,7 +15,6 @@ All functions are pure and deterministic for a fixed ``EstimatorConfig``.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, asdict
@@ -38,8 +37,6 @@ __all__ = [
 # duplicate rows of a sample (never those of a copula) are floored here
 # before the log.
 _EPS_FLOOR = 1e-12
-
-_NORMS = ("max", "euclidean")
 
 # CPUs this process may run on; the kd-tree search uses up to this many
 # threads.  ``taskset`` limits it.
@@ -70,26 +67,16 @@ class EstimatorConfig:
     """Settings for the rank + kNN copula entropy estimator.
 
     k:           neighbor count for the entropy step.
-    norm:        "max" (Chebyshev, default) or "euclidean".
     jitter_seed: seed of the per-column draws that order tied values
                  before ranking.
-    boundary_correction:
-                 clip neighbor-ball volumes to the unit cube when estimating
-                 the entropy of copula pseudo-observations.  Removes most of
-                 the finite-sample boundary bias near independence.  Only
-                 effective under the max norm.
     """
 
     k: int = 3
-    norm: str = "max"
     jitter_seed: int = 0
-    boundary_correction: bool = True
 
     def __post_init__(self):
         if not _is_integer(self.k) or self.k < 1:
             raise InvalidInputError(f"k must be an integer >= 1, got {self.k!r}")
-        if self.norm not in _NORMS:
-            raise InvalidInputError(f"norm must be one of {_NORMS}, got {self.norm!r}")
         if not _is_integer(self.jitter_seed) or self.jitter_seed < 0:
             raise InvalidInputError(f"jitter_seed must be an integer >= 0, got {self.jitter_seed!r}")
 
@@ -124,24 +111,16 @@ def as_sample_matrix(values) -> np.ndarray:
 _JITTER_STREAM_TAG = 0x9E3779B97F4A7C15
 
 
-def _column_stream(col: np.ndarray, cfg: EstimatorConfig) -> np.random.Generator:
+def _column_stream(dense: np.ndarray, cfg: EstimatorConfig) -> np.random.Generator:
     """The tie-break stream of one column, keyed on its tie pattern.
 
-    The key hashes the column's dense ranks (0 for its smallest value, one
+    ``dense`` holds the column's dense ranks (0 for its smallest value, one
     more for each larger distinct value) as little-endian int64, which
     strictly increasing transforms leave unchanged and which do not depend
-    on the column's position, so neither changes the stream.  ``hash()`` is
-    salted per process and would break run-to-run reproducibility, hence
-    blake2b.
+    on the column's position, so neither changes the stream.  The key
+    hashes them; ``hash()`` is salted per process and would break
+    run-to-run reproducibility, hence blake2b.
     """
-    order = np.argsort(col)
-    ranked = col[order]
-    steps = np.empty(col.size, dtype="<i8")
-    steps[:1] = 0
-    np.not_equal(ranked[1:], ranked[:-1], out=steps[1:])
-    del ranked
-    dense = np.empty_like(steps)
-    dense[order] = np.cumsum(steps, out=steps)
     key = int.from_bytes(hashlib.blake2b(dense, digest_size=8).digest(), "little")
     return np.random.default_rng((_JITTER_STREAM_TAG, cfg.jitter_seed, key))
 
@@ -157,14 +136,23 @@ def _copula_order(col: np.ndarray, cfg: EstimatorConfig) -> np.ndarray:
     the same draws, put the copula points of tied rows on a diagonal, and
     read as dependence.  Distinct values are ordered by value alone, so a
     strictly increasing map of the column leaves the order unchanged.  A
-    column without ties needs no draws: its argsort is the order.
+    column without ties needs no draws: its argsort is the order.  The
+    stream's dense-rank key comes from the same argsort.
     """
     order = np.argsort(col)
     ranked = col[order]
-    if (ranked[1:] != ranked[:-1]).all():
+    steps = np.empty(col.size, dtype="<i8")
+    steps[:1] = 0
+    np.not_equal(ranked[1:], ranked[:-1], out=steps[1:])
+    del ranked
+    if steps[1:].all():
         return order
-    del order, ranked
-    return np.lexsort((_column_stream(col, cfg).random(col.size), col))
+    dense = np.empty_like(steps)
+    dense[order] = np.cumsum(steps, out=steps)
+    del order, steps
+    draws = _column_stream(dense, cfg).random(col.size)
+    del dense
+    return np.lexsort((draws, col))
 
 
 def empirical_copula(x, cfg: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
@@ -188,8 +176,8 @@ def empirical_copula(x, cfg: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
     return out
 
 
-def _kth_nn_distance(u: np.ndarray, k: int, norm: str) -> np.ndarray:
-    """Distance from each row to its k-th nearest other row, by kd-tree.
+def _kth_nn_distance(u: np.ndarray, k: int) -> np.ndarray:
+    """Max-norm distance from each row to its k-th nearest other row, by kd-tree.
 
     The rows are queried in the tree's leaf order (``tree.indices``), so
     consecutive queries walk the same nodes, and the distances are then
@@ -204,20 +192,12 @@ def _kth_nn_distance(u: np.ndarray, k: int, norm: str) -> np.ndarray:
     copula points fill the unit cube evenly, so the leaf-order queries are
     no slower on that tree.
     """
-    p = np.inf if norm == "max" else 2
     n = u.shape[0]
     workers = _CPUS if n >= _JOB_MAX_ROWS else 1
     tree = cKDTree(u, balanced_tree=False, compact_nodes=False)
     dist = np.empty(n)
-    dist[tree.indices] = tree.query(u[tree.indices], k=[k + 1], p=p, workers=workers)[0][:, 0]
+    dist[tree.indices] = tree.query(u[tree.indices], k=[k + 1], p=np.inf, workers=workers)[0][:, 0]
     return dist
-
-
-def _log_unit_diameter_ball_volume(d: int, norm: str) -> float:
-    # Unit-diameter ball: radius 1/2.  Max-norm makes this the unit cube.
-    if norm == "max":
-        return 0.0
-    return 0.5 * d * math.log(math.pi) - d * math.log(2.0) - math.lgamma(0.5 * d + 1.0)
 
 
 # Rows per block of the boundary-corrected sum: its temporaries are
@@ -248,30 +228,28 @@ def _log_clipped_widths(u: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def knn_entropy(u, cfg: EstimatorConfig = EstimatorConfig(), unit_support: bool = False) -> float:
-    """Kozachenko-Leonenko entropy estimate in nats.
+    """Kozachenko-Leonenko entropy estimate in nats, under the max norm.
 
-    H = -psi(k) + psi(N) + log c_d + (d/N) * sum_i log eps_i, where eps_i is
-    twice the distance from row i to its k-th nearest neighbor and c_d the
-    volume of the unit-diameter ball under the configured norm.
+    H = -psi(k) + psi(N) + (d/N) * sum_i log eps_i, where eps_i is twice the
+    max-norm distance from row i to its k-th nearest neighbor, so that the
+    neighbor ball of row i is a cube of volume eps_i**d.
 
-    With ``unit_support=True`` (and max norm, boundary correction enabled)
-    the per-point ball volume c_d * eps_i**d is replaced by the volume of the
-    ball's intersection with the unit cube [0, 1]^d, which removes the upward
+    With ``unit_support=True`` that volume is replaced by the volume of the
+    cube's intersection with the unit cube [0, 1]^d, which removes the upward
     bias the plain estimator has for samples on a bounded support.
     """
     u = as_sample_matrix(u)
     n, d = u.shape
     if n <= cfg.k:
         raise InvalidInputError(f"need more than k={cfg.k} rows, got {n}")
-    eps = _kth_nn_distance(u, cfg.k, cfg.norm)
+    eps = _kth_nn_distance(u, cfg.k)
     eps *= 2.0
     np.maximum(eps, _EPS_FLOOR, out=eps)
     base = float(-digamma(float(cfg.k)) + digamma(float(n)))
-    if unit_support and cfg.boundary_correction and cfg.norm == "max":
+    if unit_support:
         eps /= 2.0
         return base + float(_log_clipped_widths(u, eps).mean())
-    log_sum = float(np.log(eps).sum())
-    return base + _log_unit_diameter_ball_volume(d, cfg.norm) + (d / n) * log_sum
+    return base + (d / n) * float(np.log(eps).sum())
 
 
 def _unit_cube_entropies(samples, n: int, cfg: EstimatorConfig = EstimatorConfig()) -> list:

@@ -64,7 +64,6 @@ class DatasetSpec:
     time_col: str = "time"
     status_col: str = "status"
     covariate_cols: tuple[str, ...] | None = None
-    na_policy: str = "drop_rows"
     status_event_value: object = 1
     na_screen_cols: tuple[str, ...] = ()
 
@@ -79,8 +78,6 @@ class DatasetSpec:
                 raise InvalidInputError(f"covariate_cols names a column more than once: {list(cov)}")
             object.__setattr__(self, "covariate_cols", cov)
         object.__setattr__(self, "na_screen_cols", tuple(self.na_screen_cols))
-        if self.na_policy != "drop_rows":
-            raise InvalidInputError(f"unsupported na_policy {self.na_policy!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -88,7 +85,6 @@ class DatasetSpec:
             "time_col": self.time_col,
             "status_col": self.status_col,
             "covariate_cols": list(self.covariate_cols) if self.covariate_cols is not None else None,
-            "na_policy": self.na_policy,
             "status_event_value": self.status_event_value,
             "na_screen_cols": list(self.na_screen_cols),
         }

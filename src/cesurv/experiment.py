@@ -32,7 +32,6 @@ __all__ = [
     "dataset_from_source",
     "evaluate",
     "run_experiment",
-    "write_ranking",
     "write_ranking_table",
     "write_performance_table",
 ]
@@ -160,11 +159,7 @@ def run_experiment(
     """
     with _stage("simulate" if isinstance(source, SimConfig) else "load"):
         ds = dataset_from_source(source)
-    provenance = {
-        "tool_version": __version__,
-        "jitter_seed": estimator_cfg.jitter_seed,
-        **_provenance(source, ds),
-    }
+    provenance = _provenance(source, ds)
 
     with _stage("rank"):
         if include_status_ranking and not with_status:
@@ -221,8 +216,8 @@ def _write_table(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def write_ranking(ranking: VariableRanking, path, ranking_with_status: VariableRanking = None) -> None:
-    """Bar-chart data: one (name, ce[, ce_with_status]) row per covariate."""
+def write_ranking_table(ranking: VariableRanking, path, ranking_with_status: VariableRanking = None) -> None:
+    """Bar-chart data: one (name, ce[, ce_with_status]) row per covariate, in rank order."""
     header = ["name", "ce"]
     rows = [[e.name, _fmt(e.ce)] for e in ranking.entries]
     if ranking_with_status:
@@ -231,11 +226,6 @@ def write_ranking(ranking: VariableRanking, path, ranking_with_status: VariableR
         for row in rows:
             row.append(_fmt(by_name[row[0]].ce))
     _write_table(path, header, rows)
-
-
-def write_ranking_table(report: ExperimentReport, path) -> None:
-    """The ranking table of a report, with CE2 beside CE1 when it has both."""
-    write_ranking(report.ranking, path, report.ranking_with_status)
 
 
 def write_performance_table(report: ExperimentReport, path) -> None:

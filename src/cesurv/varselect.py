@@ -34,7 +34,6 @@ class VariableRanking:
 
     entries: tuple
     with_status: bool
-    estimator_cfg: EstimatorConfig
 
     def names(self) -> list:
         return [e.name for e in self.entries]
@@ -105,7 +104,7 @@ def _rank(ds: SurvivalDataset, with_status: tuple, cfg: EstimatorConfig) -> list
             RankingEntry(name=ds.names[j], ce=float(ce[j]), rank=pos + 1, constant=constant[j])
             for pos, j in enumerate(order)
         )
-        rankings.append(VariableRanking(entries=entries, with_status=s, estimator_cfg=cfg))
+        rankings.append(VariableRanking(entries=entries, with_status=s))
     return rankings
 
 

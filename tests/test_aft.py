@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -267,6 +268,18 @@ class TestFromDict:
         d = self.fitted().to_dict()
         d["coefficients"] = d["coefficients"][:-1]
         with pytest.raises(InvalidInputError, match="3 coefficients for 4 covariates"):
+            AFTModel.from_dict(d)
+
+    @pytest.mark.parametrize("key, value, shown", [
+        ("log_scale", 1000, "'log_scale' is too large: exp(1000) overflows"),
+        ("log_scale", math.nan, "'log_scale' must be finite, got nan"),
+        ("log_scale", math.inf, "'log_scale' must be finite, got inf"),
+        ("intercept", -math.inf, "'intercept' must be finite, got -inf"),
+        ("coefficients", [0.1, math.nan, 0.0, 0.2], "'coefficients' must be finite, got [0.1, nan, 0.0, 0.2]"),
+    ], ids=["log_scale_1000", "log_scale_nan", "log_scale_inf", "intercept_inf", "coefficient_nan"])
+    def test_rejects_model_it_cannot_score(self, key, value, shown):
+        d = {**self.fitted().to_dict(), key: value}
+        with pytest.raises(InvalidInputError, match=re.escape(f"AFTModel field {shown}")):
             AFTModel.from_dict(d)
 
     def test_rejects_non_mapping(self):

@@ -1,10 +1,13 @@
 import csv
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cesurv.cli import main
+from cesurv.cli import build_parser, main
 
 
 def run(*argv):
@@ -191,6 +194,66 @@ class TestJsonInputs:
         assert "expected a JSON object" in capsys.readouterr().err
 
 
+class TestUnusableFiles:
+    """A path or file the CLI cannot use exits 2 with a message, not a traceback."""
+
+    def test_sim_config_directory_exit_2(self, tmp_path, capsys):
+        assert run("select", "--sim-config", str(tmp_path)) == 2
+        assert "Is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("select", "--sim-config", "{file}"),
+        ("select", "--dataset-spec", "{file}"),
+        ("evaluate", "--bundled", "veteran", "--model", "{file}"),
+    ], ids=["sim_config", "dataset_spec", "model"])
+    def test_not_utf8_json_exit_2(self, tmp_path, capsys, argv):
+        f = tmp_path / "input.json"
+        f.write_bytes(b'{"seed": "caf\xe9"}\n')
+        assert run(*(a.format(file=f) for a in argv)) == 2
+        assert f"{f}: not a JSON file" in capsys.readouterr().err
+
+    def test_reproduce_paper_out_is_a_file_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run("reproduce-paper", "--out", str(out)) == 2
+        assert "File exists" in capsys.readouterr().err
+
+
+class TestRemovedSettings:
+    def test_norm_flag_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            run("select", "--bundled", "veteran", "--norm", "max")
+        assert e.value.code == 2
+        assert "unrecognized arguments: --norm max" in capsys.readouterr().err
+
+    def test_na_policy_key_exit_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"path": "d.csv", "na_policy": "drop_rows"}))
+        assert run("select", "--dataset-spec", str(spec)) == 2
+        assert "unknown DatasetSpec fields: ['na_policy']" in capsys.readouterr().err
+
+
+class TestReadmeCommands:
+    README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def test_each_command_line_exits_0(self, tmp_path, monkeypatch):
+        block = self.README.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line) for line in block.splitlines() if line.startswith("cesurv ")]
+        assert {argv[1] for argv in commands} == {
+            "simulate", "select", "fit", "evaluate", "run-experiment", "reproduce-paper"}
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert run(*argv[1:]) == 0, shlex.join(argv)
+
+    def test_common_flags_exist(self):
+        text = self.README.split("Common flags:", 1)[1].split("Dataset files", 1)[0]
+        flags = set(re.findall(r"`(--[a-z-]+)`", text))
+        assert "--k" in flags and "--seed" in flags
+        subparsers = build_parser()._subparsers._group_actions[0].choices.values()
+        known = {flag for sub in subparsers for flag in sub._option_string_actions}
+        assert flags <= known, sorted(flags - known)
+
+
 class TestEvaluateModelFile:
     def fitted_model(self, tmp_path):
         path = tmp_path / "model.json"
@@ -209,6 +272,13 @@ class TestEvaluateModelFile:
         path.write_text(json.dumps(payload))
         assert run("evaluate", "--bundled", "veteran", "--model", str(path)) == 2
         assert "missing AFTModel fields: ['log_scale']" in capsys.readouterr().err
+
+    def test_log_scale_overflow_exit_2(self, tmp_path, capsys):
+        path, payload = self.fitted_model(tmp_path)
+        payload["model"]["log_scale"] = 1000
+        path.write_text(json.dumps(payload))
+        assert run("evaluate", "--bundled", "veteran", "--model", str(path)) == 2
+        assert "AFTModel field 'log_scale' is too large" in capsys.readouterr().err
 
     def test_covariate_absent_from_data_exit_2(self, tmp_path, capsys):
         path, payload = self.fitted_model(tmp_path)

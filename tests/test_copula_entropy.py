@@ -29,10 +29,13 @@ CFG = EstimatorConfig()
 # Thread counts the kd-tree search is checked under; 3 and 4 exceed the CPUs
 # of a 2-CPU machine, which the search must handle alike.
 THREAD_COUNTS = (1, 2, 3, 4)
+# The neighbor searches are checked under the estimator's one norm, the max
+# norm (p=inf), whose name the test ids carry.
+MAX_NORM = pytest.mark.parametrize("p", [np.inf], ids=["max"])
 
 
-def kth_nn_distance_brute(u, k, norm):
-    """Distance from each row to its k-th nearest other row, all pairs.
+def kth_nn_distance_brute(u, k):
+    """Max-norm distance from each row to its k-th nearest other row, all pairs.
 
     The reference the kd-tree search is compared against.
     """
@@ -41,11 +44,7 @@ def kth_nn_distance_brute(u, k, norm):
     chunk = max(1, int(2e7) // max(n, 1))
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        diff = u[start:stop, None, :] - u[None, :, :]
-        if norm == "max":
-            dist = np.abs(diff).max(axis=2)
-        else:
-            dist = np.sqrt((diff * diff).sum(axis=2))
+        dist = np.abs(u[start:stop, None, :] - u[None, :, :]).max(axis=2)
         dist[np.arange(stop - start), np.arange(start, stop)] = np.inf
         out[start:stop] = np.partition(dist, k - 1, axis=1)[:, k - 1]
     return out
@@ -171,46 +170,38 @@ class TestKnnEntropy:
         h2 = knn_entropy(3.0 * x, CFG)
         assert abs(h2 - h1 - math.log(3.0)) < 1e-9
 
-    def test_euclidean_matches_max_for_1d(self):
-        rng = np.random.default_rng(14)
-        x = rng.standard_normal((300, 1))
-        h_max = knn_entropy(x, EstimatorConfig(norm="max"))
-        h_euc = knn_entropy(x, EstimatorConfig(norm="euclidean"))
-        assert abs(h_max - h_euc) < 1e-12
-
     def test_rejects_n_not_above_k(self):
         with pytest.raises(InvalidInputError):
             knn_entropy(np.zeros((3, 1)), EstimatorConfig(k=3))
 
 
 class TestNeighborSearch:
-    @pytest.mark.parametrize("norm", ["max", "euclidean"])
-    def test_tree_bitwise_equals_brute(self, norm):
+    @MAX_NORM
+    def test_tree_bitwise_equals_brute(self, p):
         # The accelerated path must be indistinguishable from the reference.
         for seed in range(5):
             rng = np.random.default_rng(seed)
             u = empirical_copula(rng.random((200, 3)), CFG)
-            brute = kth_nn_distance_brute(u, 3, norm)
-            tree = _kth_nn_distance(u, 3, norm)
-            np.testing.assert_array_equal(brute, tree)
+            brute = kth_nn_distance_brute(u, 3)
+            np.testing.assert_array_equal(brute, self.plain_tree_distance(u, 3, p))
+            np.testing.assert_array_equal(brute, _kth_nn_distance(u, 3))
 
     @staticmethod
-    def plain_tree_distance(u, k, norm):
-        p = np.inf if norm == "max" else 2
+    def plain_tree_distance(u, k, p):
         return cKDTree(u).query(u, k + 1, p=p)[0][:, k]
 
     @staticmethod
-    def assert_equal_on_every_thread_count(u, norm, monkeypatch):
+    def assert_equal_on_every_thread_count(u, p, monkeypatch):
         # From 100 rows, every table here is split over `cpus` threads.
-        plain = TestNeighborSearch.plain_tree_distance(u, 3, norm)
+        plain = TestNeighborSearch.plain_tree_distance(u, 3, p)
         for cpus in THREAD_COUNTS:
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(ce_mod, "_CPUS", cpus)
                 m.setattr(ce_mod, "_JOB_MAX_ROWS", 100)
-                np.testing.assert_array_equal(_kth_nn_distance(u, 3, norm), plain)
+                np.testing.assert_array_equal(_kth_nn_distance(u, 3), plain)
 
-    @pytest.mark.parametrize("norm", ["max", "euclidean"])
-    def test_leaf_order_equals_plain_tree_on_large_simulation(self, norm, monkeypatch):
+    @MAX_NORM
+    def test_leaf_order_equals_plain_tree_on_large_simulation(self, p, monkeypatch):
         # The copulas a ranking builds at 2*10^4 rows, including discrete
         # covariates coded like the cancer table's sex (1/2) and ph.ecog (0-3).
         n = 20_000
@@ -222,15 +213,15 @@ class TestNeighborSearch:
         for cov in (ds.covariates[:, 0], sex, ecog):
             for x in (np.column_stack([ts[:, 0], cov]), np.column_stack([ts, cov])):
                 u = empirical_copula(x, CFG)
-                self.assert_equal_on_every_thread_count(u, norm, monkeypatch)
+                self.assert_equal_on_every_thread_count(u, p, monkeypatch)
 
-    @pytest.mark.parametrize("norm", ["max", "euclidean"])
-    def test_leaf_order_equals_plain_tree_on_tied_grid(self, norm, monkeypatch):
+    @MAX_NORM
+    def test_leaf_order_equals_plain_tree_on_tied_grid(self, p, monkeypatch):
         # Many exact duplicates and equidistant neighbors.
         rng = np.random.default_rng(31)
         for d, levels in ((2, 6), (3, 4)):
             u = rng.integers(1, levels + 1, (5000, d)) / levels
-            self.assert_equal_on_every_thread_count(u, norm, monkeypatch)
+            self.assert_equal_on_every_thread_count(u, p, monkeypatch)
 
     @pytest.mark.parametrize("n", [137, 1000, 10_000, 20_000])
     def test_job_pool_equals_one_search_at_a_time(self, n, monkeypatch):
@@ -264,7 +255,7 @@ class TestNeighborSearch:
         monkeypatch.setattr(ce_mod, "_CPUS", 4)
         monkeypatch.setattr(ce_mod, "cKDTree", RecordingTree)
         for n in (137, 167, 1000, 10_000, 49_999, 50_000):
-            _kth_nn_distance(np.random.default_rng(n).random((n, 3)), 3, "max")
+            _kth_nn_distance(np.random.default_rng(n).random((n, 3)), 3)
         assert seen == [1, 1, 1, 1, 1, 4]
 
     def test_duplicate_points_hit_distance_floor(self):
@@ -379,14 +370,6 @@ class TestCopulaEntropy:
         with pytest.raises(InvalidInputError):
             copula_entropy(rng.random((100, 1)), CFG)
 
-    def test_plain_formula_without_correction(self):
-        # boundary_correction=False reproduces the textbook estimator: same
-        # value as knn_entropy without support information.
-        cfg = EstimatorConfig(boundary_correction=False)
-        x = gaussian_pair(0.5, 300, seed=26)
-        u = empirical_copula(x, cfg)
-        assert copula_entropy(x, cfg) == knn_entropy(u, cfg)
-
 
 class TestEstimatorConfig:
     def test_rejects_bad_k(self):
@@ -394,9 +377,8 @@ class TestEstimatorConfig:
             with pytest.raises(InvalidInputError):
                 EstimatorConfig(k=k)
 
-    def test_rejects_bad_norm(self):
-        with pytest.raises(InvalidInputError):
-            EstimatorConfig(norm="manhattan")
+    def test_fields(self):
+        assert EstimatorConfig().to_dict() == {"k": 3, "jitter_seed": 0}
 
     def test_rejects_negative_jitter_seed(self):
         for seed in (-1, 1.5):
@@ -450,7 +432,7 @@ def empirical_copula_whole_matrix(x, cfg):
 def knn_entropy_whole_matrix(u, cfg):
     """The boundary-corrected estimate with the n x d widths matrix, as the reference."""
     n, d = u.shape
-    eps = np.maximum(2.0 * _kth_nn_distance(u, cfg.k, cfg.norm), ce_mod._EPS_FLOOR)
+    eps = np.maximum(2.0 * _kth_nn_distance(u, cfg.k), ce_mod._EPS_FLOOR)
     r = eps[:, None] / 2.0
     widths = np.minimum(u + r, 1.0) - np.maximum(u - r, 0.0)
     return -digamma(float(cfg.k)) + digamma(float(n)) + float(np.log(widths).sum(axis=1).mean())
@@ -470,10 +452,27 @@ class TestColumnAtATime:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(x=sample_matrices(max_cols=1), seed=st.integers(0, 2**32))
     def test_column_stream_key_equals_unique_inverse_hash(self, x, seed):
+        # The dense ranks the column's order passes to its stream are
+        # np.unique's inverse; a column without ties takes no stream.
         col = x[:, 0]
         cfg = EstimatorConfig(jitter_seed=seed)
+        passed = []
+
+        def spy(dense, cfg):
+            passed.append(dense.copy())
+            return _column_stream(dense, cfg)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(ce_mod, "_column_stream", spy)
+            ce_mod._copula_order(col, cfg)
+        dense = np.unique(col, return_inverse=True)[1]
+        if dense.max() == col.size - 1:
+            assert passed == []
+            return
+        [key] = passed
+        assert key.dtype == np.dtype("<i8") and key.tobytes() == dense.astype("<i8").tobytes()
         expected = np.random.default_rng((_JITTER_STREAM_TAG, seed, stream_key_by_unique(col)))
-        assert _column_stream(col, cfg).bit_generator.state == expected.bit_generator.state
+        assert _column_stream(key, cfg).bit_generator.state == expected.bit_generator.state
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(

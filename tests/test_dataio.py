@@ -230,8 +230,8 @@ class TestLoadDataset:
             DatasetSpec(path="x.csv", time_col="t", status_col="t")
         with pytest.raises(InvalidInputError):
             DatasetSpec(path="x.csv", covariate_cols=("time",))
-        with pytest.raises(InvalidInputError):
-            DatasetSpec(path="x.csv", na_policy="impute")
+        with pytest.raises(InvalidInputError, match=r"unknown DatasetSpec fields: \['na_policy'\]"):
+            DatasetSpec.from_dict({"path": "x.csv", "na_policy": "drop_rows"})
         with pytest.raises(InvalidInputError, match="covariate_cols names a column more than once"):
             DatasetSpec(path="x.csv", covariate_cols=("b", "a", "b"))
 

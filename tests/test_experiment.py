@@ -43,6 +43,12 @@ class TestRunExperiment:
         b = run_experiment(SimConfig(seed=2), top_m=3)
         assert a.to_json(timestamp="T") == b.to_json(timestamp="T")
 
+    def test_report_settings(self):
+        body = json.loads(run_experiment(SimConfig(seed=2), top_m=3).to_json(timestamp="T"))
+        assert body["tool"]["name"] == "cesurv"
+        assert body["estimator_cfg"] == {"k": 3, "jitter_seed": 0}
+        assert sorted(body["provenance"]) == ["input_sha256", "sim_seed", "source"]
+
     def test_threshold_policy(self):
         rep = run_experiment(SimConfig(seed=3), threshold=-0.05)
         assert rep.selection_policy == {"threshold": -0.05}
@@ -76,7 +82,7 @@ class TestPlotData:
         rep = run_experiment(SimConfig(seed=5), top_m=4, include_status_ranking=True)
         rank_file = tmp_path / "rank.csv"
         perf_file = tmp_path / "perf.csv"
-        write_ranking_table(rep, rank_file)
+        write_ranking_table(rep.ranking, rank_file, rep.ranking_with_status)
         write_performance_table(rep, perf_file)
         body = rep.to_json(timestamp="T")
         rank_text = rank_file.read_text()
@@ -91,7 +97,7 @@ class TestPlotData:
     def test_ranking_rows_in_rank_order(self, tmp_path):
         rep = run_experiment(SimConfig(seed=6), top_m=2)
         f = tmp_path / "rank.csv"
-        write_ranking_table(rep, f)
+        write_ranking_table(rep.ranking, f, rep.ranking_with_status)
         names = [line.split(",")[0] for line in f.read_text().splitlines()[1:]]
         assert names == rep.ranking.names()
 
@@ -101,7 +107,7 @@ class TestPlotData:
                              rng.integers(0, 2, 200), ["a", "b,c", 'd"e'])
         rep = run_experiment(ds, top_m=2, include_status_ranking=True)
         f = tmp_path / "rank.csv"
-        write_ranking_table(rep, f)
+        write_ranking_table(rep.ranking, f, rep.ranking_with_status)
         with open(f, encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["name", "ce", "ce_with_status"]

@@ -61,7 +61,7 @@ def make_ranking(values):
     entries = tuple(
         RankingEntry(name=n, ce=v, rank=i + 1) for i, (n, v) in enumerate(values)
     )
-    return VariableRanking(entries=entries, with_status=False, estimator_cfg=CFG)
+    return VariableRanking(entries=entries, with_status=False)
 
 
 class TestRankVariables:
