@@ -64,25 +64,24 @@ class AFTModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AFTModel":
-        """Inverse of ``to_dict``; the derived ``scale`` is ignored.
-
-        Rejects a model that cannot be scored: a non-finite intercept,
-        coefficient or log scale, or a log scale whose exp overflows.
-        """
+        """Inverse of ``to_dict``, ignoring the derived ``scale``; rejects an unscorable model."""
         kwargs = dataclass_kwargs(cls, d, ignore=("scale",))
+        for name in ("intercept", "coefficients", "log_scale"):
+            try:
+                finite = np.isfinite(np.asarray(kwargs[name], dtype=float)).all()
+            except OverflowError:  # an integer beyond the float range
+                finite = False
+            if not finite:
+                raise InvalidInputError(f"AFTModel field {name!r} must be finite, got {kwargs[name]!r}")
         coefficients = np.asarray(kwargs.pop("coefficients"), dtype=float)
         if coefficients.shape != (len(kwargs["included"]),):
             raise InvalidInputError(
                 f"{coefficients.size} coefficients for {len(kwargs['included'])} covariates")
-        for name, value in (("intercept", kwargs["intercept"]), ("coefficients", coefficients),
-                            ("log_scale", kwargs["log_scale"])):
-            if not np.isfinite(value).all():
-                raise InvalidInputError(f"AFTModel field {name!r} must be finite, got {d[name]!r}")
         try:
             math.exp(kwargs["log_scale"])
         except OverflowError:
             raise InvalidInputError(
-                f"AFTModel field 'log_scale' is too large: exp({kwargs['log_scale']!r}) overflows") from None
+                f"AFTModel field 'log_scale' {kwargs['log_scale']!r} overflows exp") from None
         return cls(coefficients=coefficients, **kwargs)
 
 

@@ -2,8 +2,7 @@
 
 Subcommands: simulate, select, fit, evaluate, run-experiment and
 reproduce-paper (simulation plus both bundled benchmark datasets).
-Exit codes: 0 success, 2 invalid input (an unusable path or file
-included), 3 numerical failure.
+Exit codes: 0 success, 2 invalid input or unusable path, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -64,8 +63,8 @@ def _read_object(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             d = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise InvalidInputError(f"{path}: not a JSON file ({e})") from e
+    except ValueError as e:  # not UTF-8, not JSON, or an integer too long to read
+        raise InvalidInputError(f"{path}: cannot be read as JSON ({e})") from e
     if not isinstance(d, dict):
         raise InvalidInputError(f"{path}: expected a JSON object, got {type(d).__name__}")
     return d

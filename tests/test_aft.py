@@ -271,12 +271,14 @@ class TestFromDict:
             AFTModel.from_dict(d)
 
     @pytest.mark.parametrize("key, value, shown", [
-        ("log_scale", 1000, "'log_scale' is too large: exp(1000) overflows"),
+        ("log_scale", 1000, "'log_scale' 1000 overflows exp"),
         ("log_scale", math.nan, "'log_scale' must be finite, got nan"),
         ("log_scale", math.inf, "'log_scale' must be finite, got inf"),
         ("intercept", -math.inf, "'intercept' must be finite, got -inf"),
+        ("intercept", 10**400, f"'intercept' must be finite, got {10**400}"),
         ("coefficients", [0.1, math.nan, 0.0, 0.2], "'coefficients' must be finite, got [0.1, nan, 0.0, 0.2]"),
-    ], ids=["log_scale_1000", "log_scale_nan", "log_scale_inf", "intercept_inf", "coefficient_nan"])
+    ], ids=["log_scale_1000", "log_scale_nan", "log_scale_inf", "intercept_inf", "intercept_beyond_float",
+         "coefficient_nan"])
     def test_rejects_model_it_cannot_score(self, key, value, shown):
         d = {**self.fitted().to_dict(), key: value}
         with pytest.raises(InvalidInputError, match=re.escape(f"AFTModel field {shown}")):

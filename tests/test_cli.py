@@ -206,11 +206,13 @@ class TestUnusableFiles:
         ("select", "--dataset-spec", "{file}"),
         ("evaluate", "--bundled", "veteran", "--model", "{file}"),
     ], ids=["sim_config", "dataset_spec", "model"])
-    def test_not_utf8_json_exit_2(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("content", [b'{"seed": "caf\xe9"}\n', b'{"seed": ' + b"9" * 5000 + b"}\n"],
+                             ids=["not_utf8", "integer_too_long"])
+    def test_unreadable_json_exit_2(self, tmp_path, capsys, argv, content):
         f = tmp_path / "input.json"
-        f.write_bytes(b'{"seed": "caf\xe9"}\n')
+        f.write_bytes(content)
         assert run(*(a.format(file=f) for a in argv)) == 2
-        assert f"{f}: not a JSON file" in capsys.readouterr().err
+        assert f"{f}: cannot be read as JSON" in capsys.readouterr().err
 
     def test_reproduce_paper_out_is_a_file_exit_2(self, tmp_path, capsys):
         out = tmp_path / "taken"
@@ -278,7 +280,7 @@ class TestEvaluateModelFile:
         payload["model"]["log_scale"] = 1000
         path.write_text(json.dumps(payload))
         assert run("evaluate", "--bundled", "veteran", "--model", str(path)) == 2
-        assert "AFTModel field 'log_scale' is too large" in capsys.readouterr().err
+        assert "AFTModel field 'log_scale' 1000 overflows exp" in capsys.readouterr().err
 
     def test_covariate_absent_from_data_exit_2(self, tmp_path, capsys):
         path, payload = self.fitted_model(tmp_path)
