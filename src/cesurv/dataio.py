@@ -553,21 +553,17 @@ def _format_floats(values) -> list:
     return tokens
 
 
-def save_dataset(ds: SurvivalDataset, path, delimiter: str = ",") -> None:
-    """Write a dataset as delimited text that round-trips through load.
+def save_dataset(ds: SurvivalDataset, path) -> None:
+    """Write a dataset as comma-separated text that round-trips through load.
 
-    ``delimiter`` is one of ",", tab and ";", the ones load recognises.
-    Only the header goes through ``csv.writer``, since names can need
-    quoting; number tokens never contain a delimiter or a quote, so the
-    rows are joined directly, one block of ``_BLOCK_ROWS`` at a time.
+    Only the header goes through ``csv.writer``, since names can need quoting;
+    number tokens are joined directly, one block of ``_BLOCK_ROWS`` at a time.
     """
-    if delimiter not in _DELIMITERS:
-        raise InvalidInputError(f"delimiter must be one of {_DELIMITERS}, got {delimiter!r}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, delimiter=delimiter, lineterminator="\n").writerow([*ds.names, "time", "status"])
+        csv.writer(fh, lineterminator="\n").writerow([*ds.names, "time", "status"])
         for start in range(0, ds.n_rows, _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
             columns = [_format_floats(col) for col in ds.covariates[block].T]
             columns.append(_format_floats(ds.time[block]))
             columns.append(list(map(str, ds.status[block].tolist())))
-            fh.write("\n".join(map(delimiter.join, zip(*columns))) + "\n")
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")

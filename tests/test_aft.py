@@ -108,11 +108,52 @@ class TestFit:
         np.testing.assert_allclose(m2.coefficients, m1.coefficients, atol=1e-6)
         assert abs(m2.log_scale - m1.log_scale) < 1e-6
 
+    @pytest.mark.parametrize("source, included", [
+        ("veteran", ["karno", "age", "celltype", "diagtime"]),
+        *[(SimConfig(seed=s), None) for s in (18, 115, 120, 164)],
+        (SimConfig(seed=28, n_subjects=10000), None),
+    ], ids=["veteran", "sim-18", "sim-115", "sim-120", "sim-164", "sim10k-28"])
+    def test_converges_where_rounding_hides_the_gain(self, source, included):
+        # Near these optima, steps leave the log-likelihood unchanged while
+        # the gradient in raw covariate units stays above 1e-8, so a stop on
+        # the gradient ran each of these fits to the 200-step cap.
+        ds = load_dataset(bundled_dataset_spec(source)) if source == "veteran" else simulate(source)
+        m = fit(ds, included or ds.names)
+        assert m.converged and m.iterations <= 20
+
+    def test_covariate_units_do_not_matter(self):
+        ds = simulate(SimConfig(seed=0, n_subjects=300))
+        scaled = SurvivalDataset(ds.covariates * 1e6, ds.time, ds.status, ds.names)
+        m, m_scaled = fit(ds, ds.names), fit(scaled, ds.names)
+        assert m.converged and m_scaled.converged
+        np.testing.assert_allclose(m_scaled.coefficients * 1e6, m.coefficients, rtol=1e-9, atol=1e-9)
+        assert abs(m_scaled.intercept - m.intercept) < 1e-9
+        assert abs(m_scaled.log_scale - m.log_scale) < 1e-9
+
+    def test_line_search_without_acceptable_step_raises(self, monkeypatch):
+        # Every trial point scores below the start, so step halving runs
+        # out; the fit must say so instead of returning.
+        loglik = aft_mod._loglik
+        start = []
+
+        def falling_loglik(*args):
+            ll, terms = loglik(*args)
+            if not start:
+                start.append(ll)
+                return ll, terms
+            return start[0] - 1.0, terms
+
+        monkeypatch.setattr(aft_mod, "_loglik", falling_loglik)
+        ds = simulate(SimConfig(seed=9, n_subjects=300))
+        with pytest.raises(NonConvergenceError, match="step halving found no step") as info:
+            fit(ds, ds.names)
+        assert info.value.iterations == 0
+
     def test_monotone_ascent(self, monkeypatch):
-        # Every accepted step keeps the likelihood non-decreasing.  This veteran
-        # fit ends in Newton steps that move the log-likelihood by rounding
-        # only, so a step-halving test that let a small decrease through
-        # would show here.
+        # Every accepted step keeps the likelihood non-decreasing.  This
+        # veteran fit stops on the Newton decrement after 6 steps, the last
+        # of which leaves the log-likelihood unchanged, so a step-halving
+        # test that let a small decrease through would show here.
         ds = load_dataset(bundled_dataset_spec("veteran"))
         _, accepted = record_accepted_points(monkeypatch)
         fit(ds, ["karno", "age", "celltype", "diagtime"])
@@ -272,13 +313,15 @@ class TestFromDict:
 
     @pytest.mark.parametrize("key, value, shown", [
         ("log_scale", 1000, "'log_scale' 1000 overflows exp"),
+        ("log_scale", 700, "'log_scale' 700 makes every median 0"),
+        ("log_scale", 7.7, "'log_scale' 7.7 makes every median 0"),
         ("log_scale", math.nan, "'log_scale' must be finite, got nan"),
         ("log_scale", math.inf, "'log_scale' must be finite, got inf"),
         ("intercept", -math.inf, "'intercept' must be finite, got -inf"),
         ("intercept", 10**400, f"'intercept' must be finite, got {10**400}"),
         ("coefficients", [0.1, math.nan, 0.0, 0.2], "'coefficients' must be finite, got [0.1, nan, 0.0, 0.2]"),
-    ], ids=["log_scale_1000", "log_scale_nan", "log_scale_inf", "intercept_inf", "intercept_beyond_float",
-         "coefficient_nan"])
+    ], ids=["log_scale_1000", "log_scale_700", "log_scale_7.7", "log_scale_nan", "log_scale_inf",
+         "intercept_inf", "intercept_beyond_float", "coefficient_nan"])
     def test_rejects_model_it_cannot_score(self, key, value, shown):
         d = {**self.fitted().to_dict(), key: value}
         with pytest.raises(InvalidInputError, match=re.escape(f"AFTModel field {shown}")):

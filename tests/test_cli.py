@@ -153,6 +153,16 @@ class TestReproducePaperCommand:
             assert (d1 / f"{name}_ranking.csv").exists()
             assert (d1 / f"{name}_performance.csv").exists()
 
+    def test_every_model_converges(self, tmp_path):
+        # Seeds whose reports each held a fit that once ran to the 200-step
+        # cap with converged false.
+        for seed in (6, 11, 18, 32, 37, 38, 41, 45, 50, 52, 53, 54, 56, 57, 72, 74, 76):
+            out = tmp_path / str(seed)
+            assert run("reproduce-paper", "--seed", str(seed), "--out", str(out)) == 0
+            for name in ("simulation", "cancer", "veteran"):
+                models = json.loads((out / f"{name}_report.json").read_text())["models"]
+                assert [m["converged"] for m in models] == [True, True], (seed, name)
+
 
 class TestSimulateArguments:
     def test_n_zero_exit_2(self, tmp_path, capsys):
@@ -281,6 +291,24 @@ class TestEvaluateModelFile:
         path.write_text(json.dumps(payload))
         assert run("evaluate", "--bundled", "veteran", "--model", str(path)) == 2
         assert "AFTModel field 'log_scale' 1000 overflows exp" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("log_scale", [700, 7.7])
+    def test_log_scale_underflow_exit_2(self, tmp_path, capsys, log_scale):
+        # ln(2)**scale underflows to 0, so every median would be 0.
+        path, payload = self.fitted_model(tmp_path)
+        payload["model"]["log_scale"] = log_scale
+        path.write_text(json.dumps(payload))
+        assert run("evaluate", "--bundled", "veteran", "--model", str(path)) == 2
+        assert f"AFTModel field 'log_scale' {log_scale} makes every median 0" in capsys.readouterr().err
+
+    def test_large_log_scale_still_scored(self, tmp_path):
+        # ln(2)**scale is about 7e-65 here: tiny medians, but in order.
+        path, payload = self.fitted_model(tmp_path)
+        payload["model"]["log_scale"] = 6.0
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "ev.json"
+        assert run("evaluate", "--bundled", "veteran", "--model", str(path), "--out", str(out)) == 0
+        assert abs(json.loads(out.read_text())["c_index"] - 0.706) < 5e-4
 
     def test_covariate_absent_from_data_exit_2(self, tmp_path, capsys):
         path, payload = self.fitted_model(tmp_path)

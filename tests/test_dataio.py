@@ -12,7 +12,7 @@ from cesurv.errors import DatasetLoadError, InvalidInputError
 from cesurv.survsim import SurvivalDataset
 
 
-def save_per_row(ds, path, delimiter=","):
+def save_per_row(ds, path):
     """Reference writer: one row at a time, one value at a time."""
     def fmt(v):
         if v == 0 and np.signbit(v):
@@ -20,7 +20,7 @@ def save_per_row(ds, path, delimiter=","):
         return str(int(v)) if float(v).is_integer() else repr(float(v))
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([*ds.names, "time", "status"])
         for i in range(ds.n_rows):
             writer.writerow(
@@ -289,24 +289,6 @@ class TestColumnarIO:
         for _ in block_sizes(monkeypatch):
             save_dataset(ds, tmp_path / "block.csv")
             assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
-
-    def test_save_tab_delimiter_matches_per_row_writer(self, tmp_path, monkeypatch):
-        ds = self.special_dataset(100)
-        save_per_row(ds, tmp_path / "row.tsv", delimiter="\t")
-        for _ in block_sizes(monkeypatch):
-            save_dataset(ds, tmp_path / "block.tsv", delimiter="\t")
-            assert (tmp_path / "block.tsv").read_bytes() == (tmp_path / "row.tsv").read_bytes()
-
-    def test_save_accepts_only_the_delimiters_load_detects(self, tmp_path):
-        ds = self.special_dataset(100)
-        save_dataset(ds, tmp_path / "block.ssv", delimiter=";")
-        save_per_row(ds, tmp_path / "row.ssv", delimiter=";")
-        assert (tmp_path / "block.ssv").read_bytes() == (tmp_path / "row.ssv").read_bytes()
-        for delimiter in ("|", " ", ",;", "."):
-            out = tmp_path / "rejected.csv"
-            with pytest.raises(InvalidInputError, match="delimiter"):
-                save_dataset(ds, out, delimiter=delimiter)
-            assert not out.exists()
 
     def test_special_values_round_trip(self, tmp_path, monkeypatch):
         ds = self.special_dataset(20000)
