@@ -255,7 +255,9 @@ def predict_median(model: AFTModel, x):
     """Median of the fitted conditional Weibull: exp(eta) * ln(2)**sigma.
 
     ``x`` is one row of covariate values (returns a float) or an (n, d)
-    matrix with one row per subject (returns an array of n medians).
+    matrix with one row per subject (returns an array of n medians).  eta is
+    summed in one fixed order, the intercept and then one column product at
+    a time, so a row's median is bitwise the same alone or in any matrix.
     """
     x = np.asarray(x, dtype=float)
     d = len(model.included)
@@ -263,5 +265,8 @@ def predict_median(model: AFTModel, x):
         raise InvalidInputError(
             f"expected {d} covariate values per row, got shape {x.shape}"
         )
-    medians = np.exp(model.intercept + x @ model.coefficients) * math.log(2.0) ** model.scale
+    eta = np.full(x.shape[:-1], model.intercept)
+    for column, coefficient in zip(np.moveaxis(x, -1, 0), model.coefficients):
+        eta += column * coefficient
+    medians = np.exp(eta) * math.log(2.0) ** model.scale
     return float(medians) if x.ndim == 1 else medians

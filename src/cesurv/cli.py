@@ -34,12 +34,11 @@ def _add_estimator_flags(p):
 
 def _add_dataset_flags(p):
     p.add_argument("--data", help="dataset file (delimited text with header)")
-    p.add_argument("--time-col", default="time")
-    p.add_argument("--status-col", default="status")
-    p.add_argument("--event-value", default="1",
-                   help="status value treated as an observed event (default 1)")
-    p.add_argument("--covariates", help="comma-separated covariate columns "
-                   "(default: all remaining numeric columns)")
+    p.add_argument("--time-col", help="time column of a --data file (default time)")
+    p.add_argument("--status-col", help="status column of a --data file (default status)")
+    p.add_argument("--event-value", help="status value meaning an event in a --data file (default 1)")
+    p.add_argument("--covariates", help="comma-separated covariates of a --data file (default: every "
+                   "remaining numeric column); for fit, the model's covariates")
     p.add_argument("--bundled", choices=("cancer", "veteran"),
                    help="use a bundled benchmark dataset instead of --data")
     p.add_argument("--dataset-spec", help="JSON file with DatasetSpec fields")
@@ -86,14 +85,24 @@ def _source_from_args(args):
         raise InvalidInputError(
             "specify exactly one of --data, --bundled, --dataset-spec or --sim-config"
         )
+    if args.data:
+        cov = tuple(args.covariates.split(",")) if args.covariates else None
+        event = None if args.event_value is None else _parse_event_value(args.event_value)
+        spec = {"time_col": args.time_col, "status_col": args.status_col,
+                "covariate_cols": cov, "status_event_value": event}
+        return DatasetSpec(path=args.data, **{k: v for k, v in spec.items() if v is not None})
+    flags = {"--time-col": args.time_col, "--status-col": args.status_col,
+             "--event-value": args.event_value}
+    if args.command != "fit":  # fit takes its model's covariates from --covariates
+        flags["--covariates"] = args.covariates
+    stray = [flag for flag, value in flags.items() if value is not None]
+    if stray:
+        source = "--" + given[0].replace("_", "-")
+        raise InvalidInputError(f"{stray[0]} applies only to a --data file, not to {source}")
     if args.bundled:
         return bundled_dataset_spec(args.bundled)
     if args.dataset_spec:
         return DatasetSpec.from_dict(_read_object(args.dataset_spec))
-    if args.data:
-        cov = tuple(args.covariates.split(",")) if args.covariates else None
-        return DatasetSpec(path=args.data, time_col=args.time_col, status_col=args.status_col,
-                           covariate_cols=cov, status_event_value=_parse_event_value(args.event_value))
     return _sim_config(args)
 
 

@@ -7,7 +7,8 @@ transforms of each variable.  The estimator used here works in two steps:
 
 1. map each column to its empirical copula via within-column ranks,
 2. estimate the entropy of the pseudo-observations with a k-nearest-neighbor
-   (Kozachenko-Leonenko / KSG) estimator.
+   (Kozachenko-Leonenko / KSG) estimator whose neighbor cubes are clipped
+   to the unit cube.
 
 All functions are pure and deterministic for a fixed ``EstimatorConfig``.
 """
@@ -33,9 +34,10 @@ __all__ = [
     "copula_entropy",
 ]
 
-# Zero kth-neighbor distances would make the entropy sum diverge; exact
-# duplicate rows of a sample (never those of a copula) are floored here
-# before the log.
+# Zero kth-neighbor distances would make the entropy sum diverge.  Two rows
+# of an n-row copula differ by at least 1/n in every column, so only a
+# sample with more than k rows within 1e-12 of each other, such as
+# identical rows, has its radii floored here.
 _EPS_FLOOR = 1e-12
 
 # CPUs this process may run on; the kd-tree search uses up to this many
@@ -227,33 +229,30 @@ def _log_clipped_widths(u: np.ndarray, r: np.ndarray) -> np.ndarray:
     return total
 
 
-def knn_entropy(u, cfg: EstimatorConfig = EstimatorConfig(), unit_support: bool = False) -> float:
-    """Kozachenko-Leonenko entropy estimate in nats, under the max norm.
+def knn_entropy(u, cfg: EstimatorConfig = EstimatorConfig()) -> float:
+    """Kozachenko-Leonenko entropy estimate in nats of a sample on [0, 1]^d.
 
-    H = -psi(k) + psi(N) + (d/N) * sum_i log eps_i, where eps_i is twice the
-    max-norm distance from row i to its k-th nearest neighbor, so that the
-    neighbor ball of row i is a cube of volume eps_i**d.
-
-    With ``unit_support=True`` that volume is replaced by the volume of the
-    cube's intersection with the unit cube [0, 1]^d, which removes the upward
-    bias the plain estimator has for samples on a bounded support.
+    H = -psi(k) + psi(N) + (1/N) * sum_i log V_i, where V_i is the volume of
+    the max-norm cube around row i, of radius its k-th nearest-neighbor
+    distance, clipped to [0, 1]^d: the clipping removes the upward bias an
+    unclipped cube has on a bounded support such as a copula's.  Raises
+    InvalidInputError for a sample outside [0, 1]^d.
     """
     u = as_sample_matrix(u)
-    n, d = u.shape
+    n = u.shape[0]
     if n <= cfg.k:
         raise InvalidInputError(f"need more than k={cfg.k} rows, got {n}")
-    eps = _kth_nn_distance(u, cfg.k)
-    eps *= 2.0
-    np.maximum(eps, _EPS_FLOOR, out=eps)
+    low, high = u.min(), u.max()
+    if low < 0.0 or high > 1.0:
+        raise InvalidInputError(f"sample must lie in the unit cube [0, 1]^d, got values in [{low}, {high}]")
+    radius = _kth_nn_distance(u, cfg.k)
+    np.maximum(radius, _EPS_FLOOR, out=radius)
     base = float(-digamma(float(cfg.k)) + digamma(float(n)))
-    if unit_support:
-        eps /= 2.0
-        return base + float(_log_clipped_widths(u, eps).mean())
-    return base + (d / n) * float(np.log(eps).sum())
+    return base + float(_log_clipped_widths(u, radius).mean())
 
 
 def _unit_cube_entropies(samples, n: int, cfg: EstimatorConfig = EstimatorConfig()) -> list:
-    """``knn_entropy(u, cfg, unit_support=True)`` of each n-row copula sample, in order.
+    """``knn_entropy(u, cfg)`` of each n-row copula sample, in order.
 
     ``samples`` yields the matrices; a yielded matrix may be rewritten once
     the next one is asked for.  Every search of fewer than ``_JOB_MAX_ROWS``
@@ -269,13 +268,13 @@ def _unit_cube_entropies(samples, n: int, cfg: EstimatorConfig = EstimatorConfig
     ``knn_entropy`` gives on its own.
     """
     if _CPUS == 1 or not _JOB_MIN_ROWS <= n < _JOB_MAX_ROWS:
-        return [knn_entropy(u, cfg, unit_support=True) for u in samples]
+        return [knn_entropy(u, cfg) for u in samples]
     out, pending = [], set()
     with ThreadPoolExecutor(_CPUS) as pool:
         for u in samples:
             if len(pending) > _CPUS:
                 pending = wait(pending, return_when=FIRST_COMPLETED).not_done
-            job = pool.submit(knn_entropy, u.copy(), cfg, True)
+            job = pool.submit(knn_entropy, u.copy(), cfg)
             pending.add(job)
             out.append(job)
     return [job.result() for job in out]
@@ -291,6 +290,4 @@ def copula_entropy(x, cfg: EstimatorConfig = EstimatorConfig()) -> float:
     x = as_sample_matrix(x)
     if x.shape[1] < 2:
         raise InvalidInputError("copula entropy needs at least 2 columns")
-    if x.shape[0] <= cfg.k:
-        raise InvalidInputError(f"need more than k={cfg.k} rows, got {x.shape[0]}")
-    return knn_entropy(empirical_copula(x, cfg), cfg, unit_support=True)
+    return knn_entropy(empirical_copula(x, cfg), cfg)

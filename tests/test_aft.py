@@ -250,8 +250,21 @@ class TestPredictMedian:
         batch = predict_median(m, x)
         rows = np.array([predict_median(m, row) for row in x])
         assert batch.shape == (200,)
-        np.testing.assert_allclose(batch, rows, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(batch, rows)
         assert isinstance(predict_median(m, x[0]), float)
+
+    @pytest.mark.parametrize("d", [4, 9, 13])
+    @pytest.mark.parametrize("n", [50, 153])
+    def test_identical_rows_get_identical_medians(self, n, d):
+        # A matrix product rounded a row apart from the same row alone, and
+        # at 9 columns the last rows of a matrix apart from the others, so a
+        # tie of equal rows could count as a concordant or discordant pair.
+        rng = np.random.default_rng(7 + d)
+        m = AFTModel(0.4, rng.normal(size=d) * 0.1, math.log(0.6),
+                     [f"x{j}" for j in range(d)], True, 0, 0.0)
+        row = rng.normal(size=d) * 10.0
+        batch = predict_median(m, np.tile(row, (n, 1)))
+        np.testing.assert_array_equal(batch, np.full(n, predict_median(m, row)))
 
     def test_matrix_width_mismatch(self):
         m = AFTModel(0.0, np.array([1.0, 2.0]), 0.0, ["a", "b"], True, 0, 0.0)

@@ -139,6 +139,31 @@ class TestDatasetReadErrors:
         assert f"{data}: {shown}" in capsys.readouterr().err
 
 
+class TestDatasetFlags:
+    """The column flags shape a --data load and are refused with any other source."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("select", "--bundled", "veteran", "--covariates", "karno,age", "--time-col", "nope"), "--time-col"),
+        (("select", "--bundled", "veteran", "--covariates", "karno,age"), "--covariates"),
+        (("run-experiment", "--sim-config", "{sim}", "--top", "2", "--status-col", "s"), "--status-col"),
+        (("evaluate", "--dataset-spec", "{spec}", "--model", "{tmp}/m.json", "--event-value", "2"),
+         "--event-value"),
+        (("fit", "--bundled", "cancer", "--covariates", "age", "--event-value", "2"), "--event-value"),
+    ], ids=["select_time_col", "select_covariates", "run_experiment_status_col",
+            "evaluate_event_value", "fit_event_value"])
+    def test_flag_without_data_exit_2(self, tmp_path, capsys, argv, flag):
+        (tmp_path / "sim.json").write_text("{}")
+        (tmp_path / "spec.json").write_text(json.dumps({"path": str(tmp_path / "d.csv")}))
+        argv = [a.format(sim=tmp_path / "sim.json", spec=tmp_path / "spec.json", tmp=tmp_path) for a in argv]
+        assert run(*argv) == 2
+        assert f"{flag} applies only to a --data file" in capsys.readouterr().err
+
+    def test_fit_takes_covariates_with_any_source(self, tmp_path):
+        out = tmp_path / "model.json"
+        assert run("fit", "--bundled", "veteran", "--covariates", "karno,age", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["model"]["included"] == ["karno", "age"]
+
+
 class TestReproducePaperCommand:
     def test_outputs_and_determinism(self, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
@@ -256,6 +281,14 @@ class TestReadmeCommands:
         monkeypatch.chdir(tmp_path)
         for argv in commands:
             assert run(*argv[1:]) == 0, shlex.join(argv)
+
+    def test_library_use_block_runs(self, capsys):
+        block = self.README.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md (Library use)", "exec"), {})
+        printed = capsys.readouterr().out.splitlines()
+        mae, c = map(float, printed[0].split())
+        assert mae > 0 and 0.5 < c <= 1
+        assert json.loads("\n".join(printed[1:]))["selected"]
 
     def test_common_flags_exist(self):
         text = self.README.split("Common flags:", 1)[1].split("Dataset files", 1)[0]

@@ -152,27 +152,30 @@ class TestKnnEntropy:
         h = knn_entropy(rng.random((1000, 1)), CFG)
         assert abs(h) < 0.1
 
-    def test_gaussian_1d(self):
-        rng = np.random.default_rng(11)
-        h = knn_entropy(rng.standard_normal((2000, 1)), CFG)
-        assert abs(h - 0.5 * math.log(2 * math.pi * math.e)) < 0.1
-
     def test_unit_square(self):
         rng = np.random.default_rng(12)
         h = knn_entropy(rng.random((1000, 2)), CFG)
         assert abs(h) < 0.1
 
-    def test_scaling_shifts_by_log_volume(self):
-        # H(aX) = H(X) + log a, exactly mirrored by the distance term.
-        rng = np.random.default_rng(13)
-        x = rng.random((500, 1))
-        h1 = knn_entropy(x, CFG)
-        h2 = knn_entropy(3.0 * x, CFG)
-        assert abs(h2 - h1 - math.log(3.0)) < 1e-9
-
     def test_rejects_n_not_above_k(self):
         with pytest.raises(InvalidInputError):
             knn_entropy(np.zeros((3, 1)), EstimatorConfig(k=3))
+        with pytest.raises(InvalidInputError, match="need more than k=3 rows, got 3"):
+            copula_entropy(np.arange(6.0).reshape(3, 2), EstimatorConfig(k=3))
+
+    @pytest.mark.parametrize("sample", [
+        np.random.default_rng(11).standard_normal((2000, 1)),
+        np.random.default_rng(14).random((500, 2)) * 1.5,
+        np.vstack([[-1e-12, 0.5], np.random.default_rng(14).random((499, 2))]),
+        np.vstack([[0.5, 1.0 + 2**-52], np.random.default_rng(14).random((499, 2))]),
+    ], ids=["gaussian", "scaled_by_1.5", "just_below_0", "just_above_1"])
+    def test_rejects_sample_outside_unit_cube(self, sample):
+        # The clipped cube volumes are defined on [0, 1]^d only; outside it
+        # a width can be negative and its log nan.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=r"unit cube \[0, 1\]\^d"):
+                knn_entropy(sample, CFG)
 
 
 class TestNeighborSearch:
@@ -237,7 +240,7 @@ class TestNeighborSearch:
         samples += [empirical_copula(np.column_stack([ds.time, ds.status, cov]), CFG) for cov in (sex, ecog)]
         samples += [grid, np.column_stack([grid, sex / 2])]
         monkeypatch.setattr(ce_mod, "_CPUS", 1)
-        want = [knn_entropy(u, CFG, unit_support=True) for u in samples]
+        want = [knn_entropy(u, CFG) for u in samples]
         for cpus in THREAD_COUNTS:
             monkeypatch.setattr(ce_mod, "_CPUS", cpus)
             assert _unit_cube_entropies(iter(samples), n, CFG) == want
@@ -431,9 +434,8 @@ def empirical_copula_whole_matrix(x, cfg):
 
 def knn_entropy_whole_matrix(u, cfg):
     """The boundary-corrected estimate with the n x d widths matrix, as the reference."""
-    n, d = u.shape
-    eps = np.maximum(2.0 * _kth_nn_distance(u, cfg.k), ce_mod._EPS_FLOOR)
-    r = eps[:, None] / 2.0
+    n = u.shape[0]
+    r = np.maximum(_kth_nn_distance(u, cfg.k), ce_mod._EPS_FLOOR)[:, None]
     widths = np.minimum(u + r, 1.0) - np.maximum(u - r, 0.0)
     return -digamma(float(cfg.k)) + digamma(float(n)) + float(np.log(widths).sum(axis=1).mean())
 
@@ -503,7 +505,7 @@ class TestColumnAtATime:
     @pytest.mark.parametrize("n", [5, 150, 5000])
     def test_knn_entropy_equals_whole_matrix_formula(self, n, d):
         u = empirical_copula(np.random.default_rng(n + d).integers(0, 4, (n, d)).astype(float), CFG)
-        assert knn_entropy(u, CFG, unit_support=True) == knn_entropy_whole_matrix(u, CFG)
+        assert knn_entropy(u, CFG) == knn_entropy_whole_matrix(u, CFG)
 
 
 class TestScratchMemory:
@@ -521,5 +523,5 @@ class TestScratchMemory:
     def test_knn_entropy_in_3d(self, traced_peak):
         ds = simulate(SimConfig(seed=4, n_subjects=self.N))
         u = empirical_copula(np.column_stack([ds.time, ds.status, ds.covariates[:, 0]]), CFG)
-        _, peak = traced_peak(lambda: knn_entropy(u, CFG, unit_support=True))
+        _, peak = traced_peak(lambda: knn_entropy(u, CFG))
         assert peak < 6 * 2**20  # the n x 3 widths matrices took 8.4 MiB
