@@ -160,9 +160,8 @@ def _cmd_run_experiment(args):
                             with_status=args.with_status, top_m=args.top)
     _write_text(args.out, report.to_json())
     if args.plot_data:
-        prefix = Path(args.plot_data)
-        write_ranking_table(report.ranking, prefix.with_suffix(".ranking.csv"), report.ranking_with_status)
-        write_performance_table(report, prefix.with_suffix(".performance.csv"))
+        write_ranking_table(report.ranking, f"{args.plot_data}.ranking.csv", report.ranking_with_status)
+        write_performance_table(report, f"{args.plot_data}.performance.csv")
     return 0
 
 

@@ -35,7 +35,7 @@ import gc
 import hashlib
 import io
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -68,6 +68,7 @@ class DatasetSpec:
     na_screen_cols: tuple[str, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "path", str(self.path))
         if self.time_col == self.status_col:
             raise InvalidInputError("time_col and status_col must differ")
         if self.covariate_cols is not None:
@@ -78,16 +79,17 @@ class DatasetSpec:
                 raise InvalidInputError(f"covariate_cols names a column more than once: {list(cov)}")
             object.__setattr__(self, "covariate_cols", cov)
         object.__setattr__(self, "na_screen_cols", tuple(self.na_screen_cols))
+        # A load reads the event value as a number when its text reads as one;
+        # nan equals no status value, and no finite one equals inf.
+        event = self.status_event_value
+        number = _parse_float(str(event))
+        if (isinstance(event, bool) or not isinstance(event, (str, int, float, np.integer))
+                or (number is not None and not np.isfinite(number))):
+            raise InvalidInputError(
+                f"status_event_value must be a string or a number that is not nan or inf, got {event!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "path": str(self.path),
-            "time_col": self.time_col,
-            "status_col": self.status_col,
-            "covariate_cols": list(self.covariate_cols) if self.covariate_cols is not None else None,
-            "status_event_value": self.status_event_value,
-            "na_screen_cols": list(self.na_screen_cols),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetSpec":
@@ -120,7 +122,7 @@ def bundled_dataset_spec(name: str) -> DatasetSpec:
     if name not in BUNDLED_DATASETS:
         raise InvalidInputError(f"unknown bundled dataset {name!r}; have {sorted(BUNDLED_DATASETS)}")
     path = resources.files("cesurv").joinpath(f"data/{name}.csv")
-    return DatasetSpec(path=str(path), **BUNDLED_DATASETS[name])
+    return DatasetSpec(path=path, **BUNDLED_DATASETS[name])
 
 
 def _parse_float(token: str):
@@ -445,7 +447,9 @@ def load_dataset(spec: DatasetSpec) -> SurvivalDataset:
 
     Rows with missing values in used (or screened) columns are dropped.
     Text covariates become integer codes by first appearance; the mapping,
-    drop count and file hash are recorded in ``dataset.attrs``.
+    drop count and file hash are recorded in ``dataset.attrs``.  A kept
+    time or covariate that is nan or inf is an error naming its line and
+    column.
     """
     columns, numbers, sha = _read_table(spec.path, _column_plan(spec))
     n_raw = numbers.n
@@ -497,10 +501,12 @@ def load_dataset(spec: DatasetSpec) -> SurvivalDataset:
         )
     # A copy: a view of the row buffer would not outlive ``numbers.take``.
     time = np.array(time)
-    bad = np.nonzero(time <= 0)[0]
+    bad = np.flatnonzero(~((time > 0) & (time < np.inf)))
     if bad.size:
+        i = bad[0]
+        problem = "time must be positive" if time[i] <= 0 else f"{float(time[i])!r} is not a finite number"
         raise DatasetLoadError(
-            f"{spec.path}: line {_line(spec.path, kept[bad[0]])}, column {spec.time_col!r}: time must be positive"
+            f"{spec.path}: line {_line(spec.path, kept[i])}, column {spec.time_col!r}: {problem}"
         )
 
     event_num = _parse_float(str(spec.status_event_value))
@@ -530,14 +536,19 @@ def load_dataset(spec: DatasetSpec) -> SurvivalDataset:
             categorical_maps[col] = codes
         numbers.buf[rows, numbers.slots[col]] = values
     matrix = numbers.take(None if all_kept else kept, covariates)
+    if not np.isfinite(matrix).all():
+        i, j = np.argwhere(~np.isfinite(matrix))[0]
+        raise DatasetLoadError(
+            f"{spec.path}: line {_line(spec.path, kept[i])}, column {covariates[j]!r}: "
+            f"{float(matrix[i, j])!r} is not a finite number"
+        )
 
     attrs = {
-        "source_path": str(spec.path),
+        "source_path": spec.path,
         "source_sha256": sha,
         "n_raw_rows": n_raw,
         "n_dropped_rows": n_raw - n_kept,
         "categorical_maps": categorical_maps,
-        "status_event_value": spec.status_event_value,
     }
     return SurvivalDataset(matrix, time, status, list(covariates), attrs=attrs)
 

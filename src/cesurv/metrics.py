@@ -7,7 +7,7 @@ earlier time is an event; prediction ties count half).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,13 +27,7 @@ class EvalReport:
     n_events_used: int
 
     def to_dict(self) -> dict:
-        return {
-            "model_label": self.model_label,
-            "mae": self.mae,
-            "c_index": self.c_index,
-            "n_comparable_pairs": self.n_comparable_pairs,
-            "n_events_used": self.n_events_used,
-        }
+        return asdict(self)
 
 
 def _check_vectors(pred, time, status):

@@ -8,7 +8,7 @@ stops at a fixed administrative follow-up cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -63,17 +63,7 @@ class SimConfig:
         return len(self.coefficients)
 
     def to_dict(self) -> dict:
-        return {
-            "n_subjects": self.n_subjects,
-            "max_follow_up": self.max_follow_up,
-            "event_shape": self.event_shape,
-            "event_log_scale": self.event_log_scale,
-            "censor_shape": self.censor_shape,
-            "censor_log_scale": self.censor_log_scale,
-            "coefficients": list(self.coefficients),
-            "covariate_params": [list(p) for p in self.covariate_params],
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
@@ -141,4 +131,4 @@ def simulate(cfg: SimConfig) -> SurvivalDataset:
     time = np.minimum(np.minimum(t_event, t_censor), cfg.max_follow_up)
     status = ((t_event <= t_censor) & (t_event <= cfg.max_follow_up)).astype(int)
     names = [f"x{j + 1}" for j in range(d)]
-    return SurvivalDataset(x, time, status, names, attrs={"sim_config": cfg.to_dict()})
+    return SurvivalDataset(x, time, status, names)

@@ -9,7 +9,7 @@ informative covariate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,13 +39,7 @@ class VariableRanking:
         return [e.name for e in self.entries]
 
     def to_dict(self) -> dict:
-        return {
-            "with_status": self.with_status,
-            "entries": [
-                {"name": e.name, "ce": e.ce, "rank": e.rank, "constant": e.constant}
-                for e in self.entries
-            ],
-        }
+        return {"with_status": self.with_status, "entries": [asdict(e) for e in self.entries]}
 
 
 def rank_variables(

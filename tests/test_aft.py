@@ -90,6 +90,10 @@ class TestFit:
         with pytest.raises(InvalidInputError):
             fit(ds, ["ghost"])
 
+    def test_repeated_covariate_rejected(self):
+        with pytest.raises(InvalidInputError, match="duplicate covariate names"):
+            fit(simulate(SimConfig(seed=0, n_subjects=50)), ["x1", "x1"])
+
     def test_no_floating_point_warning_on_large_simulation(self):
         # Newton's first step proposes log sigma of about -936 here; the
         # trial sigma must not underflow to zero.

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cesurv.cli import build_parser, main
+from cesurv.cli import _parse_event_value, build_parser, main
 
 
 def run(*argv):
@@ -62,6 +62,11 @@ class TestSelectCommand:
             rows = list(csv.reader(fh))
         assert rows == [["name", "ce"]] + [[e["name"], repr(e["ce"])] for e in entries]
         assert {row[0] for row in rows[1:]} == {"a", "b,c", 'd"e'}
+
+    def test_without_out_writes_stdout(self, capsys):
+        assert run("select", "--bundled", "veteran", "--top", "2") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["ranking"]["entries"]) == 6 and len(report["selected"]) == 2
 
     def test_bundled_dataset(self, tmp_path):
         out = tmp_path / "veteran.json"
@@ -126,6 +131,14 @@ class TestRunExperimentCommand:
         assert (tmp_path / "plots.ranking.csv").exists()
         assert (tmp_path / "plots.performance.csv").exists()
 
+    def test_dotted_plot_data_prefixes_do_not_collide(self, tmp_path):
+        # The suffix is appended to the prefix, never put in place of its own.
+        for prefix in ("exp.1", "exp.2"):
+            assert run("run-experiment", "--bundled", "veteran", "--top", "2",
+                       "--out", str(tmp_path / "rep.json"), "--plot-data", str(tmp_path / prefix)) == 0
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+            "exp.1.performance.csv", "exp.1.ranking.csv", "exp.2.performance.csv", "exp.2.ranking.csv"]
+
 
 class TestDatasetReadErrors:
     @pytest.mark.parametrize("last, shown", [
@@ -157,6 +170,29 @@ class TestDatasetFlags:
         argv = [a.format(sim=tmp_path / "sim.json", spec=tmp_path / "spec.json", tmp=tmp_path) for a in argv]
         assert run(*argv) == 2
         assert f"{flag} applies only to a --data file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw, value", [("2", 2), ("2.0", 2), ("2.5", 2.5), ("dead", "dead")])
+    def test_event_value_read_as_number_when_it_is_one(self, raw, value):
+        parsed = _parse_event_value(raw)
+        assert parsed == value and type(parsed) is type(value)
+
+    @pytest.mark.parametrize("argv, shown", [
+        (("--data", "{data}", "--event-value", "nan"), "nan"),
+        (("--data", "{data}", "--event-value", "inf"), "inf"),
+        (("--dataset-spec", "{spec}"), "[1]"),
+    ], ids=["nan", "inf", "spec_list"])
+    def test_unusable_event_value_exit_2(self, tmp_path, capsys, argv, shown):
+        # Each once gave a table with no events: select exited 0 and
+        # run-experiment 3, at the fit.
+        data = tmp_path / "d.csv"
+        data.write_text("time,status,a\n1,1,0.5\n2,0,1.5\n3,1,2.5\n4,1,0.1\n5,0,0.7\n")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"path": str(data), "status_event_value": [1]}))
+        argv = [a.format(data=data, spec=spec) for a in argv]
+        for command in (["select", "--k", "2"], ["run-experiment", "--k", "2", "--top", "1"]):
+            assert run(*command, *argv) == 2
+            assert f"status_event_value must be a string or a number that is not nan or inf, got {shown}" in (
+                capsys.readouterr().err)
 
     def test_fit_takes_covariates_with_any_source(self, tmp_path):
         out = tmp_path / "model.json"

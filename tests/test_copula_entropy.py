@@ -66,6 +66,14 @@ class TestSampleMatrix:
         with pytest.raises(InvalidInputError):
             as_sample_matrix(np.array([[1.0, 2.0]]))
 
+    @pytest.mark.parametrize("values, shown", [
+        (np.zeros((2, 2, 2)), r"sample matrix must be 2-D, got shape \(2, 2, 2\)"),
+        (np.zeros((3, 0)), "need at least 1 column"),
+    ], ids=["three_dimensional", "no_columns"])
+    def test_rejects_shape(self, values, shown):
+        with pytest.raises(InvalidInputError, match=shown):
+            as_sample_matrix(values)
+
     def test_promotes_1d_to_column(self):
         assert as_sample_matrix([1.0, 2.0, 3.0]).shape == (3, 1)
 
@@ -347,7 +355,7 @@ class TestCopulaEntropy:
         vals = []
         for s in NULL_SEEDS:
             ds = simulate(SimConfig(seed=s))
-            assert (ds.time == ds.attrs["sim_config"]["max_follow_up"]).sum() > 50
+            assert (ds.time == SimConfig(seed=s).max_follow_up).sum() > 50
             ts = np.column_stack([ds.time, ds.status])
             x = np.random.default_rng((s, 1)).integers(0, 2, ds.n_rows).astype(float)
             vals.append(

@@ -235,6 +235,38 @@ class TestLoadDataset:
         with pytest.raises(InvalidInputError, match="covariate_cols names a column more than once"):
             DatasetSpec(path="x.csv", covariate_cols=("b", "a", "b"))
 
+    @pytest.mark.parametrize("event", [float("nan"), float("-inf"), "inf", 10**400, True, [1]],
+                             ids=["nan", "minus_inf", "inf_text", "int_beyond_float", "bool", "list"])
+    def test_spec_rejects_unusable_event_value(self, event):
+        # nan and inf match no status; a bool or a list would be matched as its text.
+        with pytest.raises(InvalidInputError, match="status_event_value must be a string or a number that"):
+            DatasetSpec(path="x.csv", status_event_value=event)
+
+    @pytest.mark.parametrize("text, covariates, shown", [
+        ("time,status,a,b\n1,1,nan,NA\n2,0,0.5,1\n\n3,1,-inf,2\n", None,
+         "line 5, column 'a': -inf is not a finite number"),
+        ("time,status,a\n1,1,0.5\n2,0,1.5\ninf,1,2\n", None, "line 4, column 'time': inf is not a finite number"),
+        ("time,status,g,b\n1,1,x,NA\n2,0,1,1\n3,1,NaN,2\n", ("g", "b"),
+         "line 4, column 'g': nan is not a finite number"),
+    ], ids=["covariate", "time", "covariate_read_as_tokens"])
+    def test_non_finite_kept_value_names_line_and_column(self, tmp_path, monkeypatch, text, covariates, shown):
+        # nan and inf parse as numbers.  A row dropped for a missing value
+        # does not count, whether its token is nan or text.
+        p = self.write(tmp_path, text)
+        for _ in block_sizes(monkeypatch):
+            with pytest.raises(DatasetLoadError, match=re.escape(f"{p}: {shown}")):
+                load_dataset(DatasetSpec(path=p, covariate_cols=covariates))
+
+    @pytest.mark.parametrize("text, shown", [
+        ("time,status,a,a\n1,1,0.5,1\n", "duplicate column names in header"),
+        ("time status a\n1 1 0.5\n", "could not find a delimiter in the header row"),
+        ("time,status,a\n1,1,NA\n2,,0.5\n", "no rows left after dropping missing values"),
+    ], ids=["duplicate_header_name", "no_delimiter", "every_row_dropped"])
+    def test_unusable_file_names_the_file(self, tmp_path, text, shown):
+        p = self.write(tmp_path, text)
+        with pytest.raises(DatasetLoadError, match=re.escape(f"{p}: {shown}")):
+            load_dataset(DatasetSpec(path=p))
+
     @pytest.mark.parametrize("covariates", [(), None, ("b", "a")], ids=["none", "default", "named"])
     def test_spec_dict_round_trip(self, covariates):
         spec = DatasetSpec(path="x.csv", covariate_cols=covariates, na_screen_cols=("c",))

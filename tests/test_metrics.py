@@ -114,6 +114,18 @@ class TestCIndex:
             c_index([1, 2], [1, 2, 3], [1, 1, 1])
 
 
+@pytest.mark.parametrize("metric", [c_index, mae])
+@pytest.mark.parametrize("pred, time, status, shown", [
+    ([1.0], [1.0], [1], "need at least 2 observations"),
+    ([1.0, np.nan], [1.0, 2.0], [1, 0], "predictions and times must be finite"),
+    ([1.0, 2.0], [1.0, np.inf], [1, 0], "predictions and times must be finite"),
+    ([1.0, 2.0], [1.0, 2.0], [1, 2], "status flags must be 0 or 1"),
+], ids=["one_row", "nan_prediction", "inf_time", "status_2"])
+def test_rejects_invalid_vectors(metric, pred, time, status, shown):
+    with pytest.raises(InvalidInputError, match=shown):
+        metric(pred, time, status)
+
+
 class TestMae:
     def test_zero_when_exact(self):
         val, n = mae([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1, 0, 1])

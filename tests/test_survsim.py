@@ -33,6 +33,14 @@ class TestSimConfig:
         with pytest.raises(InvalidInputError, match="must be an integer"):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, shown", [
+        (dict(max_follow_up=0.0), "max_follow_up must be > 0"),
+        (dict(coefficients=(1.0,), covariate_params=((0.0, -0.5),)), "covariate variances must be >= 0"),
+    ], ids=["zero_follow_up", "negative_variance"])
+    def test_rejects_out_of_range_setting(self, kwargs, shown):
+        with pytest.raises(InvalidInputError, match=shown):
+            SimConfig(**kwargs)
+
     def test_dict_round_trip(self):
         cfg = SimConfig(seed=9)
         assert SimConfig.from_dict(cfg.to_dict()) == cfg
@@ -98,6 +106,15 @@ class TestSurvivalDataset:
         # fit and select pick columns by name, so the second "a" could never be chosen.
         with pytest.raises(InvalidInputError, match="unique"):
             SurvivalDataset(np.zeros((2, 2)), [1.0, 2.0], [1, 0], ["a", "a"])
+
+    @pytest.mark.parametrize("covariates, names, shown", [
+        (np.zeros(2), ["a"], "covariates must be a 2-D matrix"),
+        (np.zeros((2, 2)), ["a"], "one name per covariate column required"),
+        ([[0.0], [np.inf]], ["a"], "covariates contain non-finite values"),
+    ], ids=["one_dimensional", "name_count", "non_finite"])
+    def test_rejects_malformed_covariates(self, covariates, names, shown):
+        with pytest.raises(InvalidInputError, match=shown):
+            SurvivalDataset(covariates, [1.0, 2.0], [1, 0], names)
 
     def test_column_lookup(self):
         ds = SurvivalDataset(np.array([[1.0, 2.0], [3.0, 4.0]]), [1, 2], [1, 0], ["a", "b"])

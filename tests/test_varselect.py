@@ -176,6 +176,11 @@ class TestRankVariables:
         with pytest.raises(InvalidInputError):
             rank_variables(ds, cfg=CFG)
 
+    def test_rejects_n_not_above_k(self):
+        ds = SurvivalDataset(np.arange(3.0)[:, None], [1.0, 2.0, 3.0], [1, 0, 1], ["a"])
+        with pytest.raises(InvalidInputError, match="need more than k=3 rows, got 3"):
+            rank_variables(ds, cfg=EstimatorConfig(k=3))
+
 
 class TestSelectVariables:
     def test_top_m(self):
