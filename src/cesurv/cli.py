@@ -49,14 +49,6 @@ def _estimator_cfg(args) -> EstimatorConfig:
     return EstimatorConfig(k=args.k, jitter_seed=args.seed)
 
 
-def _parse_event_value(raw):
-    try:
-        f = float(raw)
-        return int(f) if f.is_integer() else f
-    except ValueError:
-        return raw
-
-
 def _read_object(path) -> dict:
     """The JSON object a settings or model file holds."""
     try:
@@ -87,9 +79,8 @@ def _source_from_args(args):
         )
     if args.data:
         cov = tuple(args.covariates.split(",")) if args.covariates else None
-        event = None if args.event_value is None else _parse_event_value(args.event_value)
         spec = {"time_col": args.time_col, "status_col": args.status_col,
-                "covariate_cols": cov, "status_event_value": event}
+                "covariate_cols": cov, "status_event_value": args.event_value}
         return DatasetSpec(path=args.data, **{k: v for k, v in spec.items() if v is not None})
     flags = {"--time-col": args.time_col, "--status-col": args.status_col,
              "--event-value": args.event_value}

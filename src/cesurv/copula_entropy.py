@@ -81,6 +81,8 @@ class EstimatorConfig:
             raise InvalidInputError(f"k must be an integer >= 1, got {self.k!r}")
         if not _is_integer(self.jitter_seed) or self.jitter_seed < 0:
             raise InvalidInputError(f"jitter_seed must be an integer >= 0, got {self.jitter_seed!r}")
+        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "jitter_seed", int(self.jitter_seed))
 
     def to_dict(self) -> dict:
         return asdict(self)

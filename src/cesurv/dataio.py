@@ -79,14 +79,17 @@ class DatasetSpec:
                 raise InvalidInputError(f"covariate_cols names a column more than once: {list(cov)}")
             object.__setattr__(self, "covariate_cols", cov)
         object.__setattr__(self, "na_screen_cols", tuple(self.na_screen_cols))
-        # A load reads the event value as a number when its text reads as one;
+        # Text that reads as a number is that number, an int when integral.
         # nan equals no status value, and no finite one equals inf.
         event = self.status_event_value
         number = _parse_float(str(event))
+        if isinstance(event, str) and number is not None:
+            event = int(number) if number.is_integer() else number
         if (isinstance(event, bool) or not isinstance(event, (str, int, float, np.integer))
                 or (number is not None and not np.isfinite(number))):
             raise InvalidInputError(
                 f"status_event_value must be a string or a number that is not nan or inf, got {event!r}")
+        object.__setattr__(self, "status_event_value", int(event) if isinstance(event, np.integer) else event)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -414,13 +417,11 @@ def _column_plan(spec: DatasetSpec):
     """``plan`` for ``_read_table``: what ``load_dataset`` needs of each column.
 
     Time, status and explicit covariates are kept as numbers, or as tokens
-    once one is not a number; the status column is kept as tokens from the
-    start when the event value is not a number.  A default covariate must
-    be numeric, so a text column left out of the defaults keeps only its
-    missing mask, when the screen needs it.  Explicit covariates leave the
-    other columns unparsed, apart from the masks of screen-only columns.
+    once one is not a number.  A default covariate must be numeric, so a
+    text column left out of the defaults keeps only its missing mask, when
+    the screen needs it.  Explicit covariates leave the other columns
+    unparsed, apart from the masks of screen-only columns.
     """
-    event_is_number = _parse_float(str(spec.status_event_value)) is not None
     explicit = spec.covariate_cols or ()
 
     def plan(header):
@@ -429,9 +430,7 @@ def _column_plan(spec: DatasetSpec):
                 raise DatasetLoadError(f"{spec.path}: required column {col!r} not in header {header}")
         columns = {}
         for name in header:
-            if name == spec.status_col and not event_is_number:
-                columns[name] = _Column(_TOKENS)
-            elif name in (spec.time_col, spec.status_col) or name in explicit:
+            if name in (spec.time_col, spec.status_col) or name in explicit:
                 columns[name] = _Column(_NUMBER, fallback=_TOKENS, covariate=name in explicit)
             elif spec.covariate_cols is None:
                 columns[name] = _Column(_NUMBER, fallback=_MASK if name in spec.na_screen_cols else _SKIP)
@@ -447,9 +446,11 @@ def load_dataset(spec: DatasetSpec) -> SurvivalDataset:
 
     Rows with missing values in used (or screened) columns are dropped.
     Text covariates become integer codes by first appearance; the mapping,
-    drop count and file hash are recorded in ``dataset.attrs``.  A kept
-    time or covariate that is nan or inf is an error naming its line and
-    column.
+    drop count and file hash are recorded in ``dataset.attrs``.  A status
+    is the event value or the column's one other value, compared as
+    float64 where its token reads as a number and as text otherwise.  Any
+    other kept status, or a kept nan or inf, is an error naming its line
+    and column.
     """
     columns, numbers, sha = _read_table(spec.path, _column_plan(spec))
     n_raw = numbers.n
@@ -491,36 +492,43 @@ def load_dataset(spec: DatasetSpec) -> SurvivalDataset:
         except ValueError:
             return None
 
+    def reject(i, col, problem):
+        raise DatasetLoadError(f"{spec.path}: line {_line(spec.path, kept[i])}, column {col!r}: {problem}")
+
     time = kept_values(spec.time_col)
     if time is None:
         tokens = kept_tokens(spec.time_col)
         i = next(i for i, t in enumerate(tokens) if _parse_float(t) is None)
-        raise DatasetLoadError(
-            f"{spec.path}: line {_line(spec.path, kept[i])}, column {spec.time_col!r}: "
-            f"cannot parse {tokens[i]!r} as a number"
-        )
+        reject(i, spec.time_col, f"cannot parse {tokens[i]!r} as a number")
     # A copy: a view of the row buffer would not outlive ``numbers.take``.
     time = np.array(time)
-    bad = np.flatnonzero(~((time > 0) & (time < np.inf)))
-    if bad.size:
-        i = bad[0]
-        problem = "time must be positive" if time[i] <= 0 else f"{float(time[i])!r} is not a finite number"
-        raise DatasetLoadError(
-            f"{spec.path}: line {_line(spec.path, kept[i])}, column {spec.time_col!r}: {problem}"
-        )
+    i = int(np.argmin((time > 0) & (time < np.inf)))
+    if not 0 < time[i] < np.inf:
+        reject(i, spec.time_col,
+               "time must be positive" if time[i] <= 0 else f"{float(time[i])!r} is not a finite number")
 
-    event_num = _parse_float(str(spec.status_event_value))
-    values = kept_values(spec.status_col) if event_num is not None else None
+    event = spec.status_event_value
+    number = np.nan if isinstance(event, str) else float(event)  # text matches no number
+    values = kept_values(spec.status_col)
     if values is not None:
-        status = (values == event_num).astype(int)
+        status = values == number
+        j = int(np.argmax(~status & np.isfinite(values)))  # the first finite other value, if any
+        other = None if status[j] or not np.isfinite(values[j]) else float(values[j])
+        i = int(np.argmin(status | (values == other)))  # the first row holding neither, if any
+        i = None if status[i] or values[i] == other else i
     else:
-        status = np.empty(n_kept, dtype=int)
-        for i, tok in enumerate(kept_tokens(spec.status_col)):
-            num = _parse_float(tok)
-            if num is not None and event_num is not None:
-                status[i] = 1 if num == event_num else 0
-            else:
-                status[i] = 1 if tok == str(spec.status_event_value) else 0
+        tokens = kept_tokens(spec.status_col)
+        keys = {t: t if (x := _parse_float(t)) is None else x for t in dict.fromkeys(tokens)}
+        other = next((k for k in keys.values() if k not in (event, number)
+                      and (isinstance(k, str) or np.isfinite(k))), None)
+        i = next((tokens.index(t) for t, k in keys.items() if k not in (event, number, other)), None)
+        events = {t for t, k in keys.items() if k in (event, number)}
+        status = np.fromiter(map(events.__contains__, tokens), dtype=bool, count=n_kept)
+    if i is not None:
+        bad = keys[tokens[i]] if values is None else float(values[i])
+        reject(i, spec.status_col, f"{bad!r} is not a finite number" if other is None
+               else f"{bad!r} is neither the event value {event!r} nor the other value {other!r}")
+    status = status.astype(int)  # rebinding frees the flags before the matrix is built
 
     # A covariate kept as tokens is written, as numbers or codes, into its
     # slot of the row buffer, which then becomes the covariate matrix.
@@ -538,10 +546,7 @@ def load_dataset(spec: DatasetSpec) -> SurvivalDataset:
     matrix = numbers.take(None if all_kept else kept, covariates)
     if not np.isfinite(matrix).all():
         i, j = np.argwhere(~np.isfinite(matrix))[0]
-        raise DatasetLoadError(
-            f"{spec.path}: line {_line(spec.path, kept[i])}, column {covariates[j]!r}: "
-            f"{float(matrix[i, j])!r} is not a finite number"
-        )
+        reject(i, covariates[j], f"{float(matrix[i, j])!r} is not a finite number")
 
     attrs = {
         "source_path": spec.path,

@@ -57,6 +57,8 @@ class SimConfig:
             raise InvalidInputError("covariate variances must be >= 0")
         if not _is_integer(self.seed) or self.seed < 0:
             raise InvalidInputError(f"seed must be an integer >= 0, got {self.seed!r}")
+        object.__setattr__(self, "n_subjects", int(self.n_subjects))
+        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def n_covariates(self) -> int:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cesurv.cli import _parse_event_value, build_parser, main
+from cesurv.cli import build_parser, main
 
 
 def run(*argv):
@@ -171,11 +171,6 @@ class TestDatasetFlags:
         assert run(*argv) == 2
         assert f"{flag} applies only to a --data file" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("raw, value", [("2", 2), ("2.0", 2), ("2.5", 2.5), ("dead", "dead")])
-    def test_event_value_read_as_number_when_it_is_one(self, raw, value):
-        parsed = _parse_event_value(raw)
-        assert parsed == value and type(parsed) is type(value)
-
     @pytest.mark.parametrize("argv, shown", [
         (("--data", "{data}", "--event-value", "nan"), "nan"),
         (("--data", "{data}", "--event-value", "inf"), "inf"),
@@ -193,6 +188,20 @@ class TestDatasetFlags:
             assert run(*command, *argv) == 2
             assert f"status_event_value must be a string or a number that is not nan or inf, got {shown}" in (
                 capsys.readouterr().err)
+
+    @pytest.mark.parametrize("statuses, event, shown", [
+        ("1 0 1 1 0", "2", "line 3, column 'status': 0.0 is neither the event value 2 nor the other value 1.0"),
+        ("1 nan 7 1 0", "1", "line 3, column 'status': nan is neither the event value 1 nor the other value 7.0"),
+        ("dead alive dead dead alive", "Dead",
+         "line 3, column 'status': 'alive' is neither the event value 'Dead' nor the other value 'dead'"),
+    ], ids=["mistyped_number", "stray_codes", "mistyped_text"])
+    def test_status_outside_two_values_exit_2(self, tmp_path, capsys, statuses, event, shown):
+        # Each once loaded with every such row censored.
+        data = tmp_path / "d.csv"
+        data.write_text("time,status,a\n" + "".join(f"{i + 1},{s},{i}.5\n" for i, s in enumerate(statuses.split())))
+        for command in (["select", "--k", "2"], ["run-experiment", "--k", "2", "--top", "1"]):
+            assert run(*command, "--data", str(data), "--event-value", event) == 2
+            assert f"{data}: {shown}" in capsys.readouterr().err
 
     def test_fit_takes_covariates_with_any_source(self, tmp_path):
         out = tmp_path / "model.json"

@@ -242,6 +242,11 @@ class TestLoadDataset:
         with pytest.raises(InvalidInputError, match="status_event_value must be a string or a number that"):
             DatasetSpec(path="x.csv", status_event_value=event)
 
+    @pytest.mark.parametrize("raw, value", [("2", 2), ("2.0", 2), ("2.5", 2.5), ("dead", "dead"), (np.int64(2), 2)])
+    def test_event_value_read_as_number_when_it_is_one(self, raw, value):
+        event = DatasetSpec(path="x.csv", status_event_value=raw).status_event_value
+        assert event == value and type(event) is type(value)
+
     @pytest.mark.parametrize("text, covariates, shown", [
         ("time,status,a,b\n1,1,nan,NA\n2,0,0.5,1\n\n3,1,-inf,2\n", None,
          "line 5, column 'a': -inf is not a finite number"),
@@ -271,6 +276,62 @@ class TestLoadDataset:
     def test_spec_dict_round_trip(self, covariates):
         spec = DatasetSpec(path="x.csv", covariate_cols=covariates, na_screen_cols=("c",))
         assert DatasetSpec.from_dict(spec.to_dict()) == spec
+
+
+class TestStatusColumn:
+    """A kept status is the event value or the column's one other value."""
+
+    @staticmethod
+    def write(tmp_path, statuses):
+        p = tmp_path / "status.csv"
+        p.write_text("time,status,a\n" + "".join(f"{i + 1},{s},{i}\n" for i, s in enumerate(statuses)))
+        return p
+
+    @pytest.mark.parametrize("statuses, event, shown", [
+        (["1", "nan", "7"], 1, "line 3, column 'status': nan is neither the event value 1 nor the other value 7.0"),
+        (["1", "0", "1", "7"], 1, "line 5, column 'status': 7.0 is neither the event value 1 nor the other value 0.0"),
+        (["1", "inf", "1"], 1, "line 3, column 'status': inf is not a finite number"),
+        (["0", "1", "0"], 2, "line 3, column 'status': 1.0 is neither the event value 2 nor the other value 0.0"),
+        (["0", "1"], "dead", "line 3, column 'status': 1.0 is neither the event value 'dead' nor the other value 0.0"),
+        (["dead", "alive", "dead"], "dead ",
+         "line 3, column 'status': 'alive' is neither the event value 'dead ' nor the other value 'dead'"),
+        (["1.0", "alive", "-inf"], 1,
+         "line 4, column 'status': -inf is neither the event value 1 nor the other value 'alive'"),
+        (["alive", "0", "dead"], "dead", "line 3, column 'status': 0.0 is neither the event value 'dead' nor the "
+                                         "other value 'alive'"),
+    ], ids=["found_file", "third_code", "inf", "mistyped_number", "text_event_on_numbers", "mistyped_text",
+            "mixed_minus_inf", "mixed_number_beside_text"])
+    def test_status_outside_two_values_names_line_and_column(self, tmp_path, monkeypatch, statuses, event, shown):
+        # Each once loaded with the stray statuses read as censored.
+        p = self.write(tmp_path, statuses)
+        for _ in block_sizes(monkeypatch):
+            with pytest.raises(DatasetLoadError, match=re.escape(f"{p}: {shown}")):
+                load_dataset(DatasetSpec(path=p, status_event_value=event))
+
+    @pytest.mark.parametrize("statuses, event, expected", [
+        (["0", "1", "1", "0"], 1, [0, 1, 1, 0]),
+        (["1", "2.0", " 2 ", "1"], 2, [0, 1, 1, 0]),
+        (["1", "1", "1"], 1, [1, 1, 1]),
+        (["0", "0.0", "-0"], 1, [0, 0, 0]),
+        (["dead", "alive", "dead"], "dead", [1, 0, 1]),
+        (["alive", "alive"], "dead", [0, 0]),
+        (["1.0", "alive", "1"], 1, [1, 0, 1]),
+        (["alive", "1.0", "alive", "1"], "alive", [1, 0, 1, 0]),
+        (["0", "x", "x", "0.0"], "x", [0, 1, 1, 0]),
+    ], ids=["zero_one", "one_two", "all_events", "one_other_value", "dead_alive", "all_censored_text",
+            "number_event_beside_text", "text_event_beside_number", "text_event_beside_zero"])
+    def test_two_valued_column_decodes_as_before(self, tmp_path, monkeypatch, statuses, event, expected):
+        p = self.write(tmp_path, statuses)
+        spec = DatasetSpec(path=p, status_event_value=event)
+        for _ in block_sizes(monkeypatch):
+            ds = assert_matches_per_token_load(spec)
+            assert ds.status.tolist() == expected and ds.status.dtype == int
+
+    def test_dropped_row_status_is_not_checked(self, tmp_path, monkeypatch):
+        p = tmp_path / "status.csv"
+        p.write_text("time,status,a\n1,1,0\n2,nan,NA\n3,7,\n4,0,3\n")
+        for _ in block_sizes(monkeypatch):
+            assert assert_matches_per_token_load(DatasetSpec(path=p)).status.tolist() == [1, 0]
 
 
 class TestRoundTrip:
@@ -471,9 +532,10 @@ class TestBlockwiseRead:
 
     def test_column_turning_to_text_late_takes_a_second_pass(self, tmp_path, monkeypatch):
         # 'grp' is numeric for 7 records, then text; 'late' turns to text at
-        # its last record; 'status' holds text only in a row dropped for 'b'.
+        # its last record; 'status' holds text only in a row dropped for its
+        # missing time.
         header = ["time", "status", "grp", "a", "late", "b"]
-        rows = [f"{i + 1},{'x' if i == 8 else i % 2},{i % 3 if i < 7 else 'g'},{i},"
+        rows = [f"{'NA' if i == 8 else i + 1},{'x' if i == 8 else i % 2},{i % 3 if i < 7 else 'g'},{i},"
                 f"{i if i < 9 else 'z'},{'NA' if i == 8 else i}" for i in range(10)]
         p = self.write(tmp_path, [",".join(header), *rows])
         passes = self.recording_passes(monkeypatch, header)

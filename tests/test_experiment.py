@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from cesurv.copula_entropy import EstimatorConfig
 from cesurv.dataio import DatasetSpec, bundled_dataset_spec
 from cesurv.errors import DatasetLoadError, InvalidInputError, NoEventsError
 from cesurv.experiment import (
@@ -48,6 +49,13 @@ class TestRunExperiment:
         assert body["tool"]["name"] == "cesurv"
         assert body["estimator_cfg"] == {"k": 3, "jitter_seed": 0}
         assert sorted(body["provenance"]) == ["input_sha256", "sim_seed", "source"]
+
+    def test_numpy_integer_settings_report_as_plain_ints(self):
+        # Settings looped over np.arange: each once made the JSON writer raise TypeError.
+        plain = run_experiment(SimConfig(n_subjects=300, seed=1), EstimatorConfig(k=3), top_m=2)
+        numpy = run_experiment(SimConfig(n_subjects=np.int64(300), seed=np.int64(1)),
+                               EstimatorConfig(k=np.int64(3), jitter_seed=np.int64(0)), top_m=np.int64(2))
+        assert numpy.to_json(timestamp="T") == plain.to_json(timestamp="T")
 
     def test_threshold_policy(self):
         rep = run_experiment(SimConfig(seed=3), threshold=-0.05)
