@@ -2,9 +2,9 @@
 
 The model is log t = intercept + x.beta + sigma * W with W standard minimum
 Gumbel, fitted by maximizing the censored log-likelihood with a damped
-Newton iteration (analytic gradient and Hessian, step halving for monotone
-ascent).  The scale is optimized as log sigma so the problem is
-unconstrained.
+Newton iteration (analytic gradient and Hessian, the eigenvalue-modified
+step where Newton's does not ascend, step halving for monotone ascent).
+The scale is optimized as log sigma so the problem is unconstrained.
 """
 
 from __future__ import annotations
@@ -169,9 +169,10 @@ def fit(ds: SurvivalDataset, included) -> AFTModel:
     after an accepted step whose Newton decrement, step . grad / 2, is at
     most 1e-10 whatever the covariates' units, or else after 200 steps with
     ``converged`` false; ``final_gradient_norm`` is reported, not tested.
-    Raises NonConvergenceError when no ascent direction is found, when step
-    halving finds no step that keeps the likelihood from falling, and when
-    log sigma falls below -300, where the likelihood has no maximum.
+    Raises NonConvergenceError when the Hessian is not finite (no ascent
+    direction), when step halving finds no step that keeps the likelihood
+    from falling, and when log sigma falls below -300, where the likelihood
+    has no maximum.
     """
     if ds.n_events == 0:
         raise NoEventsError("no observed events: scale is unbounded, cannot fit")
@@ -193,24 +194,22 @@ def fit(ds: SurvivalDataset, included) -> AFTModel:
     grad, hess = _derivatives(terms, x, status)
     iterations = 0
     converged = False
-    identity = np.eye(len(params))
     while not converged and iterations < _MAX_ITER:
-        # Newton direction on the concavified Hessian: add ridge until -H is
-        # positive definite so the step is an ascent direction.
-        ridge = 0.0
-        for _ in range(60):
-            try:
-                step = np.linalg.solve(-(hess - ridge * identity), grad)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None and np.isfinite(step).all() and float(step @ grad) > 0:
-                break
-            ridge = max(2.0 * ridge, 1e-8)
-        else:
+        if not np.isfinite(hess).all():
             raise NonConvergenceError(
                 "could not build an ascent direction",
                 iterations=iterations, gradient_norm=float(np.abs(grad).max()),
             )
+        # The Newton step if it ascends, else the eigenvalue-modified one
+        # (Nocedal & Wright, Numerical Optimization, 2nd ed., 3.4): each
+        # curvature becomes max(|lambda|, 1e-8), so it ascends for any nonzero gradient.
+        try:
+            step = np.linalg.solve(-hess, grad)
+        except np.linalg.LinAlgError:
+            step = None
+        if step is None or not np.isfinite(step).all() or float(step @ grad) <= 0:
+            lam, vec = np.linalg.eigh(-hess)
+            step = vec @ ((vec.T @ grad) / np.maximum(np.abs(lam), 1e-8))
         decrement = float(step @ grad)
         # Step halving keeps the likelihood non-decreasing.  It starts from
         # the longest step on the halving grid whose log-sigma move is in

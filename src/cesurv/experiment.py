@@ -170,7 +170,7 @@ def run_experiment(
             ranking, ranking2 = rank_variables(ds, with_status=with_status, cfg=estimator_cfg), None
     with _stage("select"):
         selected = select_variables(ranking, top_m=top_m, threshold=threshold)
-        policy = {"top_m": int(top_m)} if top_m is not None else {"threshold": threshold}
+        policy = {"top_m": int(top_m)} if top_m is not None else {"threshold": float(threshold)}
 
     with _stage("fit"):
         models = [(FULL_MODEL_LABEL, fit(ds, list(ds.names))),

@@ -59,6 +59,8 @@ class SimConfig:
             raise InvalidInputError(f"seed must be an integer >= 0, got {self.seed!r}")
         object.__setattr__(self, "n_subjects", int(self.n_subjects))
         object.__setattr__(self, "seed", int(self.seed))
+        for name in ("max_follow_up", "event_shape", "event_log_scale", "censor_shape", "censor_log_scale"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def n_covariates(self) -> int:

@@ -153,6 +153,40 @@ class TestFit:
             fit(ds, ds.names)
         assert info.value.iterations == 0
 
+    def test_one_solve_and_one_eigh_per_step(self, monkeypatch):
+        # A step takes one Newton solve and, where that step does not
+        # ascend, one eigendecomposition for the eigenvalue-modified step.
+        calls = {"solve": 0, "eigh": 0}
+        for name in calls:
+            def counting(*args, _name=name, _f=getattr(np.linalg, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(np.linalg, name, counting)
+        ds = simulate(SimConfig(seed=0))
+        model = fit(ds, ds.names)
+        assert model.converged
+        assert calls["solve"] <= model.iterations and calls["eigh"] <= model.iterations
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_hessian_raises(self, monkeypatch, value):
+        # No direction can be trusted from a Hessian with an overflowed or
+        # undefined entry, so the fit stops before its first step and says so.
+        derivatives = aft_mod._derivatives
+
+        def non_finite_hessian(*args):
+            grad, hess = derivatives(*args)
+            hess = hess.copy()
+            hess[0, 1] = hess[1, 0] = value
+            return grad, hess
+
+        monkeypatch.setattr(aft_mod, "_derivatives", non_finite_hessian)
+        ds = simulate(SimConfig(seed=9, n_subjects=300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergenceError, match="could not build an ascent direction") as info:
+                fit(ds, ds.names)
+        assert info.value.iterations == 0
+
     def test_monotone_ascent(self, monkeypatch):
         # Every accepted step keeps the likelihood non-decreasing.  This
         # veteran fit stops on the Newton decrement after 6 steps, the last

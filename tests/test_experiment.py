@@ -57,6 +57,13 @@ class TestRunExperiment:
                                EstimatorConfig(k=np.int64(3), jitter_seed=np.int64(0)), top_m=np.int64(2))
         assert numpy.to_json(timestamp="T") == plain.to_json(timestamp="T")
 
+    def test_numpy_float_settings_report_as_plain_floats(self):
+        threshold, follow_up = np.float32(-0.01), np.float32(90.0)
+        plain = run_experiment(SimConfig(n_subjects=200, seed=1, max_follow_up=float(follow_up)),
+                               threshold=float(threshold))
+        numpy = run_experiment(SimConfig(n_subjects=200, seed=1, max_follow_up=follow_up), threshold=threshold)
+        assert numpy.to_json(timestamp="T") == plain.to_json(timestamp="T")
+
     def test_threshold_policy(self):
         rep = run_experiment(SimConfig(seed=3), threshold=-0.05)
         assert rep.selection_policy == {"threshold": -0.05}

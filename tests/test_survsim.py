@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,14 @@ class TestSimConfig:
     def test_rejects_out_of_range_setting(self, kwargs, shown):
         with pytest.raises(InvalidInputError, match=shown):
             SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["max_follow_up", "event_shape", "event_log_scale",
+                                      "censor_shape", "censor_log_scale"])
+    def test_numpy_float_settings_serialize_as_plain_floats(self, name):
+        value = np.float32(getattr(SimConfig(), name) + 0.1)
+        numpy = SimConfig(n_subjects=50, **{name: value})
+        plain = SimConfig(n_subjects=50, **{name: float(value)})
+        assert json.dumps(numpy.to_dict()) == json.dumps(plain.to_dict())
 
     def test_dict_round_trip(self):
         cfg = SimConfig(seed=9)
