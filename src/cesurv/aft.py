@@ -141,6 +141,22 @@ def _derivatives(terms, x, status) -> tuple:
     return grad, hess
 
 
+def _singular_design_note(x, included) -> str:
+    """Names the covariates in the null directions of a rank-deficient design, else "".
+
+    The design is the intercept and each covariate scaled to unit sd, so
+    the test does not depend on units; a constant covariate becomes a
+    column of ones, collinear with the intercept.
+    """
+    sd = x.std(axis=0)
+    z = np.column_stack([np.ones(len(x)), np.where(sd > 0, x / np.where(sd > 0, sd, 1.0), 1.0)])
+    _, s, vt = np.linalg.svd(z, full_matrices=False)
+    null = vt[s <= s[0] * max(z.shape) * np.finfo(float).eps]
+    names = [name for name, v in zip(["the intercept", *included], np.abs(null).max(axis=0, initial=0.0))
+             if v > 1e-8]
+    return f"; the design is singular, with collinear columns {', '.join(names)}" if names else ""
+
+
 def loglik_and_gradient(params, ds: SurvivalDataset, included) -> tuple:
     """Censored Weibull AFT log-likelihood and its analytic gradient.
 
@@ -171,7 +187,8 @@ def fit(ds: SurvivalDataset, included) -> AFTModel:
     ``converged`` false; ``final_gradient_norm`` is reported, not tested.
     Raises NonConvergenceError when the Hessian is not finite (no ascent
     direction), when step halving finds no step that keeps the likelihood
-    from falling, and when log sigma falls below -300, where the likelihood
+    from falling (naming the collinear covariates if the design is
+    singular), and when log sigma falls below -300, where the likelihood
     has no maximum.
     """
     if ds.n_events == 0:
@@ -194,12 +211,13 @@ def fit(ds: SurvivalDataset, included) -> AFTModel:
     grad, hess = _derivatives(terms, x, status)
     iterations = 0
     converged = False
+
+    def stop(reason):
+        return NonConvergenceError(reason, iterations=iterations, gradient_norm=float(np.abs(grad).max()))
+
     while not converged and iterations < _MAX_ITER:
         if not np.isfinite(hess).all():
-            raise NonConvergenceError(
-                "could not build an ascent direction",
-                iterations=iterations, gradient_norm=float(np.abs(grad).max()),
-            )
+            raise stop("could not build an ascent direction")
         # The Newton step if it ascends, else the eigenvalue-modified one
         # (Nocedal & Wright, Numerical Optimization, 2nd ed., 3.4): each
         # curvature becomes max(|lambda|, 1e-8), so it ascends for any nonzero gradient.
@@ -225,18 +243,13 @@ def fit(ds: SurvivalDataset, included) -> AFTModel:
                 break
             t *= 0.5
         else:
-            raise NonConvergenceError(
-                "step halving found no step that keeps the likelihood from falling",
-                iterations=iterations, gradient_norm=float(np.abs(grad).max()),
-            )
+            raise stop("step halving found no step that keeps the likelihood from falling"
+                       + _singular_design_note(x, included))
         params, loglik = cand, cand_ll
         grad, hess = _derivatives(cand_terms, x, status)
         iterations += 1
         if params[-1] < _LOG_SIGMA_MIN:
-            raise NonConvergenceError(
-                "scale collapsed towards zero: the likelihood has no maximum",
-                iterations=iterations, gradient_norm=float(np.abs(grad).max()),
-            )
+            raise stop("scale collapsed towards zero: the likelihood has no maximum")
         converged = decrement / 2 <= _DECREMENT_TOL
 
     return AFTModel(

@@ -240,15 +240,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NumericalError as e:
+    except (CesurvError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except CesurvError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+        return EXIT_NUMERICAL if isinstance(e, NumericalError) else EXIT_INVALID_INPUT
 
 
 if __name__ == "__main__":

@@ -78,18 +78,17 @@ def c_index(pred, time, status) -> tuple:
 
     An ordered pair (i, j) is comparable iff time_i < time_j and subject i
     had the event.  Concordant predictions (pred_i < pred_j) score 1, ties
-    score 0.5.  The pairs are counted exactly, as integers, by sorting and
-    counting in O(n log^2 n) time and O(n) memory without listing them;
-    weights are halves so the score is exact in floating point.
+    score 0.5.  The pairs are counted exactly, as integers, from the time
+    and prediction rankings in O(n log^2 n) time and O(n) memory without
+    listing them; weights are halves so the score is exact in floating point.
     """
     pred, time, status = _check_vectors(pred, time, status)
     n = len(pred)
-    later = n - np.searchsorted(np.sort(time), time[status], "right")
-    n_comparable = int(later.sum())
+    _, time_rank, time_count = np.unique(time, return_inverse=True, return_counts=True)
+    n_comparable = int((n - np.cumsum(time_count))[time_rank[status]].sum())  # strictly later rows
     if n_comparable == 0:
         raise UndefinedMetricError("no comparable pairs: C-index undefined")
     pred_rank = np.unique(pred, return_inverse=True)[1]
-    time_rank = np.unique(time, return_inverse=True)[1]
     # Tied predictions with a strictly later time: one sorted (pred, time) key.
     key = pred_rank * (n + 1) + time_rank
     sorted_key = np.sort(key)
@@ -100,7 +99,7 @@ def c_index(pred, time, status) -> tuple:
     # In (time ascending, pred descending) order a later row within a time
     # tie never has a larger prediction, so "later row, larger prediction"
     # is exactly "strictly later time, strictly larger prediction".
-    order = np.lexsort((-pred_rank, time))
+    order = np.argsort(time_rank * (n + 1) + (n - pred_rank), kind="stable")
     concordant = _count_later_greater(pred_rank[order], status[order])
     score = float(concordant) + 0.5 * float(tied)
     return score / n_comparable, n_comparable

@@ -187,6 +187,24 @@ class TestFit:
                 fit(ds, ds.names)
         assert info.value.iterations == 0
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_singular_design_named_when_halving_runs_out(self, seed):
+        # x1 twice: the likelihood is flat along (x1, -x1_copy), and step
+        # halving runs out near the ridge.  The error names both columns.
+        ds = simulate(SimConfig(seed=seed, n_subjects=1000))
+        doubled = SurvivalDataset(np.column_stack([ds.covariates, ds.column("x1")]),
+                                  ds.time, ds.status, [*ds.names, "x1_copy"])
+        with pytest.raises(NonConvergenceError, match="step halving found no step") as info:
+            fit(doubled, doubled.names)
+        assert str(info.value).endswith("the design is singular, with collinear columns x1, x1_copy")
+
+    def test_non_finite_likelihood_at_start_raises(self):
+        # Equal event times give log sigma -5 at the start, where the row
+        # censored at t = 1000 overflows exp(w).
+        ds = SurvivalDataset(np.empty((5, 0)), [1.0, 1.0, 1.0, 1000.0, 2.0], [1, 1, 1, 0, 0], [])
+        with pytest.raises(NonConvergenceError, match="^non-finite likelihood at the initial point$"):
+            fit(ds, [])
+
     def test_monotone_ascent(self, monkeypatch):
         # Every accepted step keeps the likelihood non-decreasing.  This
         # veteran fit stops on the Newton decrement after 6 steps, the last

@@ -2,9 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cesurv.aft import fit, predict_median
 from cesurv.errors import InvalidInputError, UndefinedMetricError
-from cesurv.metrics import c_index, mae
+from cesurv.metrics import _check_vectors, _count_later_greater, c_index, mae
+from cesurv.survsim import SimConfig, simulate
 
 
 def c_index_bruteforce(pred, time, status):
@@ -22,6 +25,38 @@ def c_index_bruteforce(pred, time, status):
     if pairs == 0:
         raise ZeroDivisionError
     return score / pairs, pairs
+
+
+def c_index_sorted_times(pred, time, status):
+    """The earlier c_index, which sorts the times for the comparable pairs and
+    lexsorts (time, -prediction rank) for the concordance order: the
+    reference the one-ranking version must match bitwise."""
+    pred, time, status = _check_vectors(pred, time, status)
+    n = len(pred)
+    later = n - np.searchsorted(np.sort(time), time[status], "right")
+    n_comparable = int(later.sum())
+    if n_comparable == 0:
+        raise UndefinedMetricError("no comparable pairs: C-index undefined")
+    pred_rank = np.unique(pred, return_inverse=True)[1]
+    time_rank = np.unique(time, return_inverse=True)[1]
+    key = pred_rank * (n + 1) + time_rank
+    sorted_key = np.sort(key)
+    tied = int((
+        np.searchsorted(sorted_key, pred_rank[status] * (n + 1) + n, "right")
+        - np.searchsorted(sorted_key, key[status], "right")
+    ).sum())
+    order = np.lexsort((-pred_rank, time))
+    concordant = _count_later_greater(pred_rank[order], status[order])
+    score = float(concordant) + 0.5 * float(tied)
+    return score / n_comparable, n_comparable
+
+
+def outcome(metric, *args):
+    """The result of ``metric(*args)``, or the type and message it raised."""
+    try:
+        return metric(*args)
+    except UndefinedMetricError as e:
+        return type(e), str(e)
 
 
 class TestCIndex:
@@ -69,6 +104,21 @@ class TestCIndex:
         elif case == "large":
             pred = rng.integers(0, 40, size=n).astype(float)
         assert c_index(pred, time, status) == c_index_bruteforce(pred, time, status)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.integers(2, 40).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        st.lists(st.integers(1, 4), min_size=n, max_size=n),
+        st.lists(st.integers(0, 1), min_size=n, max_size=n))))
+    def test_equals_sorted_times_version_on_heavy_ties(self, table):
+        pred, time, status = (np.array(column, dtype=float) for column in table)
+        assert outcome(c_index, pred, time, status) == outcome(c_index_sorted_times, pred, time, status)
+
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    def test_equals_sorted_times_version_on_simulation(self, n):
+        ds = simulate(SimConfig(seed=0, n_subjects=n))
+        pred = predict_median(fit(ds, ["x1", "x2"]), ds.covariates[:, :2])
+        assert c_index(pred, ds.time, ds.status) == c_index_sorted_times(pred, ds.time, ds.status)
 
     def test_memory_linear_at_1e5_rows(self):
         # Dense pairwise matrices would need about 30 GB at this size.
