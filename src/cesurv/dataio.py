@@ -141,8 +141,8 @@ def _parse_float(token: str):
 # strings at once.
 _BLOCK_ROWS = 1024
 
-# How a column is kept while the file streams past: float64 values with a
-# missing mask, stripped tokens, the missing mask alone, or nothing.
+# How a column is kept while the file streams past: float64 values or
+# stripped tokens, each with a missing mask; the missing mask alone; or nothing.
 _NUMBER, _TOKENS, _MASK, _SKIP = "number", "tokens", "mask", "skip"
 
 
@@ -167,32 +167,28 @@ def _floats(tokens) -> np.ndarray:
     return np.array(list(map(float, tokens)), dtype=float)
 
 
-def _missing_mask(tokens):
-    """True where a token is missing; None when the column has no missing token."""
-    if all(m not in tokens for m in _MISSING_TOKENS):
-        return None
+def _missing_mask(tokens) -> np.ndarray:
+    """True where a token is missing."""
     return np.fromiter(map(_MISSING_TOKENS.__contains__, tokens), dtype=bool, count=len(tokens))
 
 
 def _parse_block(raw):
     """One block of a column's raw tokens as (float64 values, missing mask).
 
-    Values are NaN where a token is missing, and the mask is None when none
-    is; None is returned when a present token is not a number.  ``float``
-    strips a subset of what ``str.strip`` strips, so a raw token it accepts
-    has the value of the stripped token; only a block with a token it
-    rejects is stripped and screened for missing tokens.
+    Values are NaN where a token is missing; None is returned when a
+    present token is not a number.  ``float`` strips a subset of what
+    ``str.strip`` strips, so a raw token it accepts has the value of the
+    stripped token; only a block with a token it rejects is stripped and
+    screened for missing tokens.
     """
     try:
-        return np.fromiter(map(float, raw), dtype=float, count=len(raw)), None
+        return np.fromiter(map(float, raw), dtype=float, count=len(raw)), np.zeros(len(raw), dtype=bool)
     except ValueError:
         pass
     tokens = list(map(str.strip, raw))
     mask = _missing_mask(tokens)
+    values = np.full(len(tokens), np.nan)
     try:
-        if mask is None:
-            return _floats(tokens), None
-        values = np.full(len(tokens), np.nan)
         values[~mask] = _floats(itertools.compress(tokens, (~mask).tolist()))
     except ValueError:
         return None
@@ -207,16 +203,15 @@ class _Column:
     One that turns to ``_TOKENS`` after number blocks has lost the tokens of
     those blocks: it is marked ``late``, kept no further, and read again.
     A number column's values go to the row buffer (``_Rows``); an explicit
-    ``covariate`` keeps its slot there in every mode.  After ``finish``,
-    ``tokens`` (tokens mode) and ``mask`` (missing rows, or None) cover
-    every record of the file.  ``sizes`` holds the record count of each
-    block in ``masks``.
+    ``covariate`` keeps its slot there in every mode.  Each kept block
+    appends its missing mask to ``masks``.  After ``finish``, ``tokens``
+    (tokens mode) and ``mask`` (missing rows) cover every record of the
+    file.
     """
 
     def __init__(self, mode, fallback=_SKIP, covariate=False):
         self.mode, self.fallback, self.covariate, self.late = mode, fallback, covariate, False
-        self.masks, self.sizes, self.tokens = [], [], []
-        self.mask = None
+        self.masks, self.tokens = [], []
 
     def add(self, raw):
         """Keep one block of raw tokens; in number mode, return its float64 values."""
@@ -224,28 +219,22 @@ class _Column:
             parsed = _parse_block(raw)
             if parsed is not None:
                 self.masks.append(parsed[1])
-                self.sizes.append(len(raw))
                 return parsed[0]
             self.late = self.fallback == _TOKENS and bool(self.masks)
             self.mode = _SKIP if self.late else self.fallback
             if self.mode != _MASK:
-                self.masks, self.sizes = [], []
-        if self.mode == _TOKENS:
-            self.tokens.extend(map(str.strip, raw))
-        elif self.mode == _MASK:
-            self.masks.append(_missing_mask(list(map(str.strip, raw))))
-            self.sizes.append(len(raw))
+                self.masks = []
+        if self.mode != _SKIP:
+            tokens = list(map(str.strip, raw))
+            self.masks.append(_missing_mask(tokens))
+            if self.mode == _TOKENS:
+                self.tokens.extend(tokens)
         return None
 
     def finish(self) -> None:
         """Join the blocks' masks."""
-        if self.mode == _TOKENS:
-            self.mask = _missing_mask(self.tokens)
-        elif any(m is not None for m in self.masks):
-            self.mask = np.concatenate(
-                [np.zeros(n, dtype=bool) if m is None else m for m, n in zip(self.masks, self.sizes)]
-            )
-        self.masks = self.sizes = None
+        self.mask = np.concatenate([np.zeros(0, dtype=bool), *self.masks])
+        self.masks = None
 
 
 class _Rows:
@@ -467,8 +456,7 @@ def load_dataset(spec: DatasetSpec) -> SurvivalDataset:
     screen = [spec.time_col, spec.status_col, *covariates, *spec.na_screen_cols]
     dropped = np.zeros(n_raw, dtype=bool)
     for col in screen:
-        if columns[col].mask is not None:
-            dropped |= columns[col].mask
+        dropped |= columns[col].mask
     all_kept = not dropped.any()
     kept = range(n_raw) if all_kept else np.flatnonzero(~dropped)
     rows = slice(0, n_raw) if all_kept else kept

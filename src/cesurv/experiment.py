@@ -25,7 +25,7 @@ from .dataio import DatasetSpec, load_dataset
 from .errors import CesurvError, InvalidInputError
 from .metrics import EvalReport, c_index, mae
 from .survsim import SimConfig, SurvivalDataset, simulate
-from .varselect import VariableRanking, _rank, rank_variables, select_variables
+from .varselect import VariableRanking, _rank, select_variables
 
 __all__ = [
     "ExperimentReport",
@@ -162,12 +162,11 @@ def run_experiment(
     provenance = _provenance(source, ds)
 
     with _stage("rank"):
-        if include_status_ranking and not with_status:
-            # The slower with-status search of each covariate starts first,
-            # so the pass ends on a short search.
-            ranking2, ranking = _rank(ds, (True, False), estimator_cfg)
-        else:
-            ranking, ranking2 = rank_variables(ds, with_status=with_status, cfg=estimator_cfg), None
+        # With both rankings, the slower with-status search of each covariate
+        # starts first, so the pass ends on a short search.
+        both = include_status_ranking and not with_status
+        rankings = _rank(ds, (True, False) if both else (with_status,), estimator_cfg)
+        ranking, ranking2 = rankings[-1], rankings[0] if both else None
     with _stage("select"):
         selected = select_variables(ranking, top_m=top_m, threshold=threshold)
         policy = {"top_m": int(top_m)} if top_m is not None else {"threshold": float(threshold)}

@@ -1,6 +1,8 @@
 import hashlib
 import importlib
 import math
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -252,6 +254,36 @@ class TestNeighborSearch:
         for cpus in THREAD_COUNTS:
             monkeypatch.setattr(ce_mod, "_CPUS", cpus)
             assert _unit_cube_entropies(iter(samples), n, CFG) == want
+
+    def test_job_pool_asks_for_at_most_one_matrix_past_its_threads(self, monkeypatch):
+        # Between _JOB_MIN_ROWS and _JOB_MAX_ROWS rows, this is all that bounds
+        # the copies held by the pool: with searches slower than the calling
+        # thread, pool.map would ask for all 12 matrices before the first
+        # search ends.
+        rng = np.random.default_rng(26)
+        samples = [rng.random((2000, 3)) for _ in range(12)]
+        want = [knn_entropy(u, CFG) for u in samples]
+        lock, count, ahead = threading.Lock(), {"asked": 0, "done": 0}, []
+
+        def counting_samples():
+            for u in samples:
+                with lock:
+                    ahead.append(count["asked"] - count["done"])
+                    count["asked"] += 1
+                yield u
+
+        def slow_search(u, cfg):
+            time.sleep(0.05)
+            h = knn_entropy(u, cfg)
+            with lock:
+                count["done"] += 1
+            return h
+
+        monkeypatch.setattr(ce_mod, "_CPUS", 2)
+        monkeypatch.setattr(ce_mod, "knn_entropy", slow_search)
+        assert _unit_cube_entropies(counting_samples(), 2000, CFG) == want
+        assert count == {"asked": 12, "done": 12}
+        assert max(ahead) <= ce_mod._CPUS + 1
 
     def test_threads_follow_the_row_count_rule(self, monkeypatch):
         # The bundled tables, the paper's 1000-row simulation and every table

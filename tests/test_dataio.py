@@ -266,7 +266,9 @@ class TestLoadDataset:
         ("time,status,a,a\n1,1,0.5,1\n", "duplicate column names in header"),
         ("time status a\n1 1 0.5\n", "could not find a delimiter in the header row"),
         ("time,status,a\n1,1,NA\n2,,0.5\n", "no rows left after dropping missing values"),
-    ], ids=["duplicate_header_name", "no_delimiter", "every_row_dropped"])
+        ("time,status,a\n", "no rows left after dropping missing values"),
+        ("time,status,a\n\n\n", "no rows left after dropping missing values"),
+    ], ids=["duplicate_header_name", "no_delimiter", "every_row_dropped", "header_only", "blank_lines_only"])
     def test_unusable_file_names_the_file(self, tmp_path, text, shown):
         p = self.write(tmp_path, text)
         with pytest.raises(DatasetLoadError, match=re.escape(f"{p}: {shown}")):

@@ -75,6 +75,12 @@ class TestRunExperiment:
         body = json.loads(rep.to_json(timestamp="T"))
         assert body["ranking_with_status"]["with_status"] is True
 
+    def test_status_ranking_ignored_when_selecting_with_status(self):
+        # The selection ranking is then already the with-status one.
+        alone = run_experiment(SimConfig(seed=4), with_status=True, top_m=2)
+        both = run_experiment(SimConfig(seed=4), with_status=True, top_m=2, include_status_ranking=True)
+        assert both.to_json(timestamp="T") == alone.to_json(timestamp="T")
+
     def test_load_errors_tagged_with_stage(self, tmp_path):
         spec = DatasetSpec(path=tmp_path / "missing.csv")
         with pytest.raises(DatasetLoadError, match=r"\[load\]"):
