@@ -174,61 +174,16 @@ def empirical_copula(x, cfg: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
     x = as_sample_matrix(x)
     n, d = x.shape
     out = np.empty((n, d))
-    levels = np.arange(1, n + 1) / float(n)
+    levels = np.arange(1.0, n + 1)
+    levels /= n
     for j in range(d):
         out[_copula_order(x[:, j], cfg), j] = levels
     return out
 
 
-def _kth_nn_distance(u: np.ndarray, k: int) -> np.ndarray:
-    """Max-norm distance from each row to its k-th nearest other row, by kd-tree.
-
-    The rows are queried in the tree's leaf order (``tree.indices``), so
-    consecutive queries walk the same nodes, and the distances are then
-    scattered back to row order.  Only the k-th neighbor is asked for.
-    Tables of ``_JOB_MAX_ROWS`` rows or more split the queries over
-    ``_CPUS`` threads; smaller ones query on one thread, so that
-    ``_unit_cube_entropies`` can run several such searches at once.  The
-    search is exact, so neither the order of the queries nor the thread
-    count changes a distance.
-    Splitting at the sliding midpoint instead of the median, without
-    shrinking nodes to their points' bounding boxes, halves the build time;
-    copula points fill the unit cube evenly, so the leaf-order queries are
-    no slower on that tree.
-    """
-    n = u.shape[0]
-    workers = _CPUS if n >= _JOB_MAX_ROWS else 1
-    tree = cKDTree(u, balanced_tree=False, compact_nodes=False)
-    dist = np.empty(n)
-    dist[tree.indices] = tree.query(u[tree.indices], k=[k + 1], p=np.inf, workers=workers)[0][:, 0]
-    return dist
-
-
 # Rows per block of the boundary-corrected sum: its temporaries are
 # _WIDTH_BLOCK_ROWS x d, however many rows the sample has.
 _WIDTH_BLOCK_ROWS = 4096
-
-
-def _log_clipped_widths(u: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Per row, the sum over columns of log(min(u + r, 1) - max(u - r, 0)).
-
-    Computed in row blocks of a C-order ``u`` with the whole-matrix
-    expression, so each row's sum is bitwise the one of the whole matrix:
-    numpy adds a row of fewer than 8 columns left to right but a longer one
-    pairwise, which a column loop would not reproduce.  A block of one row
-    would be summed pairwise whatever the layout of ``u``, hence the copy of
-    a matrix that is not C-order.
-    """
-    u = np.ascontiguousarray(u)
-    total = np.empty(u.shape[0])
-    for start in range(0, u.shape[0], _WIDTH_BLOCK_ROWS):
-        rows = slice(start, start + _WIDTH_BLOCK_ROWS)
-        block, radius = u[rows], r[rows, None]
-        widths = np.minimum(block + radius, 1.0)
-        widths -= np.maximum(block - radius, 0.0)
-        np.log(widths, out=widths)
-        np.sum(widths, axis=1, out=total[rows])
-    return total
 
 
 def knn_entropy(u, cfg: EstimatorConfig = EstimatorConfig()) -> float:
@@ -239,6 +194,23 @@ def knn_entropy(u, cfg: EstimatorConfig = EstimatorConfig()) -> float:
     distance, clipped to [0, 1]^d: the clipping removes the upward bias an
     unclipped cube has on a bounded support such as a copula's.  Raises
     InvalidInputError for a sample outside [0, 1]^d.
+
+    The radii come from a kd-tree queried in its leaf order
+    (``tree.indices``), so consecutive queries walk the same nodes, and the
+    log-widths are summed in blocks of that order.  Only the k-th neighbor
+    is asked for.  Splitting at the sliding midpoint instead of the median,
+    without shrinking nodes to their points' bounding boxes, halves the
+    build time; copula points fill the unit cube evenly, so the queries are
+    no slower on that tree.  Samples of ``_JOB_MAX_ROWS`` rows or more split
+    the queries over ``_CPUS`` threads; smaller ones query on one thread, so
+    that ``_unit_cube_entropies`` can run several searches at once.  The
+    search is exact, so neither the order of the queries nor the thread
+    count changes a radius.  Each block gathers its rows of ``u`` into a new
+    C-order matrix and sums them with the whole-matrix expression, so each
+    row's sum is bitwise the one of a C-order whole matrix, whatever the
+    layout of ``u``: numpy adds a row of fewer than 8 columns left to right
+    but a longer one pairwise, which a column loop would not reproduce.
+    The sums are written back in row order, so their mean is too.
     """
     u = as_sample_matrix(u)
     n = u.shape[0]
@@ -247,10 +219,25 @@ def knn_entropy(u, cfg: EstimatorConfig = EstimatorConfig()) -> float:
     low, high = u.min(), u.max()
     if low < 0.0 or high > 1.0:
         raise InvalidInputError(f"sample must lie in the unit cube [0, 1]^d, got values in [{low}, {high}]")
-    radius = _kth_nn_distance(u, cfg.k)
+    workers = _CPUS if n >= _JOB_MAX_ROWS else 1
+    tree = cKDTree(u, balanced_tree=False, compact_nodes=False)
+    radius = tree.query(u[tree.indices], k=[cfg.k + 1], p=np.inf, workers=workers)[0][:, 0]
     np.maximum(radius, _EPS_FLOOR, out=radius)
+    total = np.empty(n)
+    for start in range(0, n, _WIDTH_BLOCK_ROWS):
+        stop = start + _WIDTH_BLOCK_ROWS
+        rows = tree.indices[start:stop]
+        # The gathered block is a copy, so working in place keeps two
+        # block-sized arrays live, as many as slicing a view of u did.
+        block, r = u[rows], radius[start:stop, None]
+        widths = block + r
+        np.minimum(widths, 1.0, out=widths)
+        block -= r
+        widths -= np.maximum(block, 0.0, out=block)
+        np.log(widths, out=widths)
+        total[rows] = widths.sum(axis=1)
     base = float(-digamma(float(cfg.k)) + digamma(float(n)))
-    return base + float(_log_clipped_widths(u, radius).mean())
+    return base + float(total.mean())
 
 
 def _unit_cube_entropies(samples, n: int, cfg: EstimatorConfig = EstimatorConfig()) -> list:
@@ -258,7 +245,7 @@ def _unit_cube_entropies(samples, n: int, cfg: EstimatorConfig = EstimatorConfig
 
     ``samples`` yields the matrices; a yielded matrix may be rewritten once
     the next one is asked for.  Every search of fewer than ``_JOB_MAX_ROWS``
-    rows queries on one thread (``_kth_nn_distance``).  From
+    rows queries on one thread (``knn_entropy``).  From
     ``_JOB_MIN_ROWS`` rows, when there is more than one CPU, each matrix is
     copied in the calling thread and searched on one of ``_CPUS`` pool
     threads.  Smaller tables, where threads cost more than they save, and

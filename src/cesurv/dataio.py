@@ -1,9 +1,10 @@
 """Loading, saving and describing survival dataset files.
 
-Files are delimiter-separated text with a header row, '.' decimals and the
-missing-value tokens "" and "NA".  Text-valued covariate columns are mapped
-to integer codes in order of first appearance; the mapping travels with the
-dataset so reports can document it.
+Files are delimiter-separated UTF-8 text, with or without a byte-order
+mark, with a header row, '.' decimals and the missing-value tokens "" and
+"NA".  Text-valued covariate columns are mapped to integer codes in order
+of first appearance; the mapping travels with the dataset so reports can
+document it.
 
 Loading streams the file in blocks of ``_BLOCK_ROWS`` csv records while
 the raw bytes feed the sha256 digest.  The header is checked first: a
@@ -336,7 +337,7 @@ def _read_columns(p: Path, plan) -> tuple:
     numbers = _Rows(_line_count(p))
     with open(p, "rb") as raw:
         hashing = _Sha256Reader(raw)
-        text = io.TextIOWrapper(io.BufferedReader(hashing), encoding="utf-8", newline="")
+        text = io.TextIOWrapper(io.BufferedReader(hashing), encoding="utf-8-sig", newline="")
         try:
             reader = _csv_reader(p, text)
             header = next(reader)
@@ -373,7 +374,7 @@ def _line(p, record) -> int:
     hold line breaks, so the file is read again up to the record.  Only an
     error message needs the line, so the read loop keeps no line numbers.
     """
-    with open(p, encoding="utf-8", newline="") as text:
+    with open(p, encoding="utf-8-sig", newline="") as text:
         reader = _csv_reader(p, text)
         next(reader)
         start = reader.line_num + 1

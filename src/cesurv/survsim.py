@@ -128,7 +128,9 @@ def simulate(cfg: SimConfig) -> SurvivalDataset:
     n, d = cfg.n_subjects, cfg.n_covariates
     means = np.array([m for m, _ in cfg.covariate_params])
     sds = np.sqrt([v for _, v in cfg.covariate_params])
-    x = means + sds * rng.standard_normal((n, d))
+    x = rng.standard_normal((n, d))
+    x *= sds
+    x += means
     linpred = cfg.event_log_scale + x @ np.asarray(cfg.coefficients)
     t_event = np.exp(linpred) * rng.standard_exponential(n) ** (1.0 / cfg.event_shape)
     t_censor = np.exp(cfg.censor_log_scale) * rng.standard_exponential(n) ** (1.0 / cfg.censor_shape)

@@ -15,7 +15,6 @@ from cesurv.copula_entropy import (
     _JITTER_STREAM_TAG,
     EstimatorConfig,
     _column_stream,
-    _kth_nn_distance,
     _unit_cube_entropies,
     as_sample_matrix,
     copula_entropy,
@@ -39,14 +38,18 @@ MAX_NORM = pytest.mark.parametrize("p", [np.inf], ids=["max"])
 def kth_nn_distance_brute(u, k):
     """Max-norm distance from each row to its k-th nearest other row, all pairs.
 
-    The reference the kd-tree search is compared against.
+    The reference the kd-tree search is compared against.  Its scratch is a
+    block of about 5*10^4 distances, which stays in cache, built one column
+    at a time.
     """
     n = u.shape[0]
     out = np.empty(n)
-    chunk = max(1, int(2e7) // max(n, 1))
+    chunk = max(1, 50_000 // n)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        dist = np.abs(u[start:stop, None, :] - u[None, :, :]).max(axis=2)
+        dist = np.zeros((stop - start, n))
+        for col in u.T:
+            np.maximum(dist, np.abs(col[start:stop, None] - col), out=dist)
         dist[np.arange(stop - start), np.arange(start, stop)] = np.inf
         out[start:stop] = np.partition(dist, k - 1, axis=1)[:, k - 1]
     return out
@@ -197,24 +200,24 @@ class TestNeighborSearch:
             u = empirical_copula(rng.random((200, 3)), CFG)
             brute = kth_nn_distance_brute(u, 3)
             np.testing.assert_array_equal(brute, self.plain_tree_distance(u, 3, p))
-            np.testing.assert_array_equal(brute, _kth_nn_distance(u, 3))
+            assert knn_entropy(u, CFG) == knn_entropy_whole_matrix(u, CFG)
 
     @staticmethod
     def plain_tree_distance(u, k, p):
         return cKDTree(u).query(u, k + 1, p=p)[0][:, k]
 
     @staticmethod
-    def assert_equal_on_every_thread_count(u, p, monkeypatch):
+    def assert_equal_on_every_thread_count(u):
         # From 100 rows, every table here is split over `cpus` threads.
-        plain = TestNeighborSearch.plain_tree_distance(u, 3, p)
+        want = knn_entropy_whole_matrix(u, CFG)
         for cpus in THREAD_COUNTS:
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(ce_mod, "_CPUS", cpus)
                 m.setattr(ce_mod, "_JOB_MAX_ROWS", 100)
-                np.testing.assert_array_equal(_kth_nn_distance(u, 3), plain)
+                assert knn_entropy(u, CFG) == want
 
     @MAX_NORM
-    def test_leaf_order_equals_plain_tree_on_large_simulation(self, p, monkeypatch):
+    def test_leaf_order_equals_plain_tree_on_large_simulation(self, p):
         # The copulas a ranking builds at 2*10^4 rows, including discrete
         # covariates coded like the cancer table's sex (1/2) and ph.ecog (0-3).
         n = 20_000
@@ -226,15 +229,15 @@ class TestNeighborSearch:
         for cov in (ds.covariates[:, 0], sex, ecog):
             for x in (np.column_stack([ts[:, 0], cov]), np.column_stack([ts, cov])):
                 u = empirical_copula(x, CFG)
-                self.assert_equal_on_every_thread_count(u, p, monkeypatch)
+                self.assert_equal_on_every_thread_count(u)
 
     @MAX_NORM
-    def test_leaf_order_equals_plain_tree_on_tied_grid(self, p, monkeypatch):
+    def test_leaf_order_equals_plain_tree_on_tied_grid(self, p):
         # Many exact duplicates and equidistant neighbors.
         rng = np.random.default_rng(31)
         for d, levels in ((2, 6), (3, 4)):
             u = rng.integers(1, levels + 1, (5000, d)) / levels
-            self.assert_equal_on_every_thread_count(u, p, monkeypatch)
+            self.assert_equal_on_every_thread_count(u)
 
     @pytest.mark.parametrize("n", [137, 1000, 10_000, 20_000])
     def test_job_pool_equals_one_search_at_a_time(self, n, monkeypatch):
@@ -298,7 +301,7 @@ class TestNeighborSearch:
         monkeypatch.setattr(ce_mod, "_CPUS", 4)
         monkeypatch.setattr(ce_mod, "cKDTree", RecordingTree)
         for n in (137, 167, 1000, 10_000, 49_999, 50_000):
-            _kth_nn_distance(np.random.default_rng(n).random((n, 3)), 3)
+            knn_entropy(np.random.default_rng(n).random((n, 3)), CFG)
         assert seen == [1, 1, 1, 1, 1, 4]
 
     def test_duplicate_points_hit_distance_floor(self):
@@ -473,9 +476,11 @@ def empirical_copula_whole_matrix(x, cfg):
 
 
 def knn_entropy_whole_matrix(u, cfg):
-    """The boundary-corrected estimate with the n x d widths matrix, as the reference."""
+    """The boundary-corrected estimate with brute-force radii and the n x d
+    widths matrix of a C-order ``u``, as the reference."""
+    u = np.ascontiguousarray(u)
     n = u.shape[0]
-    r = np.maximum(_kth_nn_distance(u, cfg.k), ce_mod._EPS_FLOOR)[:, None]
+    r = np.maximum(kth_nn_distance_brute(u, cfg.k), ce_mod._EPS_FLOOR)[:, None]
     widths = np.minimum(u + r, 1.0) - np.maximum(u - r, 0.0)
     return -digamma(float(cfg.k)) + digamma(float(n)) + float(np.log(widths).sum(axis=1).mean())
 
@@ -519,27 +524,20 @@ class TestColumnAtATime:
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(
         u=st.integers(1, 12).flatmap(lambda d: st.lists(
-            st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d), min_size=1, max_size=40)),
-        radii=st.lists(st.floats(5e-13, 1.0), min_size=40, max_size=40),
+            st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d), min_size=CFG.k + 1, max_size=40)),
         block_rows=st.sampled_from((1, 3, 7, 4096)),
         fortran=st.booleans(),
     )
-    def test_block_widths_sum_equals_whole_matrix(self, u, radii, block_rows, fortran):
-        def whole_matrix(u):
-            return np.log(np.minimum(u + r[:, None], 1) - np.maximum(u - r[:, None], 0)).sum(axis=1).mean()
-
+    def test_block_widths_sum_equals_whole_matrix(self, u, block_rows, fortran):
+        # Blocks of the tree's leaf order, gathered from a matrix of either
+        # layout, sum each row as the C-order whole matrix does.
         u = np.array(u)
-        r = np.array(radii[: len(u)])
-        expected = whole_matrix(u)
+        expected = knn_entropy_whole_matrix(u, CFG)
         with pytest.MonkeyPatch.context() as m:
             m.setattr(ce_mod, "_WIDTH_BLOCK_ROWS", block_rows)
             if fortran:
-                # Numpy adds the rows of a Fortran-order matrix left to right,
-                # which the pairwise sum of a C-order row matches below 8 columns.
                 u = np.asfortranarray(u)
-                if u.shape[1] < 8:
-                    assert whole_matrix(u) == expected
-            assert ce_mod._log_clipped_widths(u, r).mean() == expected
+            assert knn_entropy(u, CFG) == expected
 
     @pytest.mark.parametrize("d", [1, 2, 3, 8, 9])
     @pytest.mark.parametrize("n", [5, 150, 5000])

@@ -509,6 +509,30 @@ class TestColumnarIO:
             assert ds.attrs["source_sha256"] == hashlib.sha256(p.read_bytes()).hexdigest()
             np.testing.assert_array_equal(ds.covariates[:, 0], [0.5, 1.5])
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, monkeypatch):
+        # Excel's "CSV UTF-8" files start with a byte-order mark.  The digest
+        # stays the one of the raw bytes, mark included.
+        text = "time,status,a,grp\n1,1,0.5,1\n2,0,1.5,lo\n3,1,NA,hi\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        bad = text + "oops,1,2.5,lo\n"
+        bad_plain, bad_marked = tmp_path / "bad_plain.csv", tmp_path / "bad_marked.csv"
+        bad_plain.write_bytes(bad.encode())
+        bad_marked.write_bytes(b"\xef\xbb\xbf" + bad.encode())
+        for _ in block_sizes(monkeypatch):
+            a, b = (load_dataset(DatasetSpec(path=p, covariate_cols=("a", "grp"))) for p in (plain, marked))
+            assert a.names == b.names == ["a", "grp"]
+            for name in ("covariates", "time", "status"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+            assert a.attrs["categorical_maps"] == b.attrs["categorical_maps"] == {"grp": {"1": 1, "lo": 2}}
+            assert a.attrs["n_dropped_rows"] == b.attrs["n_dropped_rows"] == 1
+            assert b.attrs["source_sha256"] == hashlib.sha256(marked.read_bytes()).hexdigest()
+            assert a.attrs["source_sha256"] != b.attrs["source_sha256"]
+            for p in (bad_plain, bad_marked):
+                with pytest.raises(DatasetLoadError, match=r"line 5.*'time'"):
+                    load_dataset(DatasetSpec(path=p))
+
 
 class TestBlockwiseRead:
     """Columns whose form changes between blocks, against the per-token reference."""
