@@ -40,8 +40,8 @@ __all__ = [
 # identical rows, has its radii floored here.
 _EPS_FLOOR = 1e-12
 
-# CPUs this process may run on; the kd-tree search uses up to this many
-# threads.  ``taskset`` limits it.
+# CPUs this process may run on; the kNN searches use up to this many
+# threads at once.  ``taskset`` limits it.
 try:
     _CPUS = len(os.sched_getaffinity(0))
 except AttributeError:  # platforms without CPU affinity
@@ -54,13 +54,14 @@ except AttributeError:  # platforms without CPU affinity
 # while other processes hold the second CPU the jobs lose a few percent
 # at 1000 rows, hence the margin.
 _JOB_MIN_ROWS = 1000
-# A kNN search of this many rows or more runs alone on _CPUS threads; a
-# smaller one queries on one thread, whatever the CPU count.  One query's
-# own split gains only 1.33x on 2 CPUs at 10^4 rows, where two whole
-# queries at once gain 2.03x, but 1.9x at 5*10^4 rows; above that, the
-# trees of jobs in flight and the pool threads' malloc arenas add up (a
-# pool over the covariates raised peak RSS 12% at 10^5 rows).  Measured on
-# 2 CPUs only; with more CPUs, more jobs run at once.
+# A kNN search of this many rows or more runs alone, its leaf-order blocks
+# spread over _CPUS pool threads; a smaller one runs its blocks in the
+# calling thread, whatever the CPU count.  Splitting one search gains only
+# 1.33x on 2 CPUs at 10^4 rows, where two whole searches at once gain
+# 2.03x, but 1.9x at 5*10^4 rows; above that, the trees of jobs in flight
+# and the pool threads' malloc arenas add up (a pool over the covariates
+# raised peak RSS 12% at 10^5 rows).  Measured on 2 CPUs only; with more
+# CPUs, more jobs run at once.
 _JOB_MAX_ROWS = 50_000
 
 
@@ -181,7 +182,7 @@ def empirical_copula(x, cfg: EstimatorConfig = EstimatorConfig()) -> np.ndarray:
     return out
 
 
-# Rows per block of the boundary-corrected sum: its temporaries are
+# Rows per block of the kNN pass: its query results and temporaries are
 # _WIDTH_BLOCK_ROWS x d, however many rows the sample has.
 _WIDTH_BLOCK_ROWS = 4096
 
@@ -195,22 +196,26 @@ def knn_entropy(u, cfg: EstimatorConfig = EstimatorConfig()) -> float:
     unclipped cube has on a bounded support such as a copula's.  Raises
     InvalidInputError for a sample outside [0, 1]^d.
 
-    The radii come from a kd-tree queried in its leaf order
-    (``tree.indices``), so consecutive queries walk the same nodes, and the
-    log-widths are summed in blocks of that order.  Only the k-th neighbor
-    is asked for.  Splitting at the sliding midpoint instead of the median,
+    The sample is searched in blocks of ``_WIDTH_BLOCK_ROWS`` rows of the
+    kd-tree's leaf order (``tree.indices``), so consecutive queries walk the
+    same nodes.  Each block gathers its rows of ``u``, queries the tree for
+    their k-th neighbors on one thread, and writes the row sums of their
+    clipped log-widths to ``total``; nothing n-sized is made but the tree
+    and ``total``.  Splitting at the sliding midpoint instead of the median,
     without shrinking nodes to their points' bounding boxes, halves the
     build time; copula points fill the unit cube evenly, so the queries are
-    no slower on that tree.  Samples of ``_JOB_MAX_ROWS`` rows or more split
-    the queries over ``_CPUS`` threads; smaller ones query on one thread, so
-    that ``_unit_cube_entropies`` can run several searches at once.  The
-    search is exact, so neither the order of the queries nor the thread
-    count changes a radius.  Each block gathers its rows of ``u`` into a new
-    C-order matrix and sums them with the whole-matrix expression, so each
-    row's sum is bitwise the one of a C-order whole matrix, whatever the
-    layout of ``u``: numpy adds a row of fewer than 8 columns left to right
-    but a longer one pairwise, which a column loop would not reproduce.
-    The sums are written back in row order, so their mean is too.
+    no slower on that tree.  Samples of ``_JOB_MAX_ROWS`` rows or more,
+    given more than one CPU, run their blocks on ``_CPUS`` pool threads,
+    which also spreads the width sums and balances the load block by block;
+    smaller ones run them in the calling thread, so that
+    ``_unit_cube_entropies`` can run several searches at once.  The search
+    is exact, so neither the order of the blocks nor the thread count
+    changes a radius.  Each block is a new C-order matrix summed with the
+    whole-matrix expression, so each row's sum is bitwise the one of a
+    C-order whole matrix, whatever the layout of ``u``: numpy adds a row of
+    fewer than 8 columns left to right but a longer one pairwise, which a
+    column loop would not reproduce.  The sums are written back in row
+    order, so their mean is too.
     """
     u = as_sample_matrix(u)
     n = u.shape[0]
@@ -219,23 +224,30 @@ def knn_entropy(u, cfg: EstimatorConfig = EstimatorConfig()) -> float:
     low, high = u.min(), u.max()
     if low < 0.0 or high > 1.0:
         raise InvalidInputError(f"sample must lie in the unit cube [0, 1]^d, got values in [{low}, {high}]")
-    workers = _CPUS if n >= _JOB_MAX_ROWS else 1
     tree = cKDTree(u, balanced_tree=False, compact_nodes=False)
-    radius = tree.query(u[tree.indices], k=[cfg.k + 1], p=np.inf, workers=workers)[0][:, 0]
-    np.maximum(radius, _EPS_FLOOR, out=radius)
     total = np.empty(n)
-    for start in range(0, n, _WIDTH_BLOCK_ROWS):
-        stop = start + _WIDTH_BLOCK_ROWS
-        rows = tree.indices[start:stop]
+
+    def block_sums(start):
+        rows = tree.indices[start:start + _WIDTH_BLOCK_ROWS]
         # The gathered block is a copy, so working in place keeps two
-        # block-sized arrays live, as many as slicing a view of u did.
-        block, r = u[rows], radius[start:stop, None]
+        # block-sized arrays live.
+        block = u[rows]
+        r = tree.query(block, k=[cfg.k + 1], p=np.inf)[0]
+        np.maximum(r, _EPS_FLOOR, out=r)
         widths = block + r
         np.minimum(widths, 1.0, out=widths)
         block -= r
         widths -= np.maximum(block, 0.0, out=block)
         np.log(widths, out=widths)
         total[rows] = widths.sum(axis=1)
+
+    starts = range(0, n, _WIDTH_BLOCK_ROWS)
+    if _CPUS > 1 and n >= _JOB_MAX_ROWS:
+        with ThreadPoolExecutor(_CPUS) as pool:
+            list(pool.map(block_sums, starts))  # raises the first block's error
+    else:
+        for start in starts:
+            block_sums(start)
     base = float(-digamma(float(cfg.k)) + digamma(float(n)))
     return base + float(total.mean())
 
@@ -245,16 +257,16 @@ def _unit_cube_entropies(samples, n: int, cfg: EstimatorConfig = EstimatorConfig
 
     ``samples`` yields the matrices; a yielded matrix may be rewritten once
     the next one is asked for.  Every search of fewer than ``_JOB_MAX_ROWS``
-    rows queries on one thread (``knn_entropy``).  From
+    rows runs on one thread (``knn_entropy``).  From
     ``_JOB_MIN_ROWS`` rows, when there is more than one CPU, each matrix is
     copied in the calling thread and searched on one of ``_CPUS`` pool
     threads.  Smaller tables, where threads cost more than they save, and
-    larger ones, whose searches each query on ``_CPUS`` threads, run one
-    search at a time.  One copy more than the threads may wait in the
-    pool's queue, so that no thread idles while the calling thread makes
-    the next matrix; no more are made until a search ends.  Either way at
-    most ``_CPUS`` threads query at once, and every estimate is the one
-    ``knn_entropy`` gives on its own.
+    larger ones, whose searches each spread their blocks over ``_CPUS``
+    threads, run one search at a time.  One copy more than the threads may
+    wait in the pool's queue, so that no thread idles while the calling
+    thread makes the next matrix; no more are made until a search ends.
+    Either way at most ``_CPUS`` threads query at once, and every estimate
+    is the one ``knn_entropy`` gives on its own.
     """
     if _CPUS == 1 or not _JOB_MIN_ROWS <= n < _JOB_MAX_ROWS:
         return [knn_entropy(u, cfg) for u in samples]

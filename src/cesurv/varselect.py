@@ -9,6 +9,7 @@ informative covariate.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -106,7 +107,8 @@ def select_variables(ranking: VariableRanking, top_m: int = None, threshold: flo
     """Pick covariate names from a ranking, preserving ranking order.
 
     Exactly one policy applies: the ``top_m`` smallest-CE entries, or every
-    entry with CE strictly below ``threshold`` (possibly none).
+    entry with CE strictly below ``threshold`` (possibly none), an integer
+    or float within the range of finite floats.
     """
     if (top_m is None) == (threshold is None):
         raise InvalidInputError("specify exactly one of top_m or threshold")
@@ -116,6 +118,10 @@ def select_variables(ranking: VariableRanking, top_m: int = None, threshold: flo
                 f"top_m must be an integer between 0 and {len(ranking.entries)}, got {top_m!r}"
             )
         return [e.name for e in ranking.entries[:top_m]]
-    if not np.isfinite(threshold):
-        raise InvalidInputError(f"threshold must be finite, got {threshold}")
+    if _is_integer(threshold):
+        real = abs(int(threshold)) <= sys.float_info.max
+    else:
+        real = isinstance(threshold, (float, np.floating)) and np.isfinite(threshold)
+    if not real:
+        raise InvalidInputError(f"threshold must be a finite number, got {threshold!r}")
     return [e.name for e in ranking.entries if e.ce < threshold]

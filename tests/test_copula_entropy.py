@@ -208,7 +208,7 @@ class TestNeighborSearch:
 
     @staticmethod
     def assert_equal_on_every_thread_count(u):
-        # From 100 rows, every table here is split over `cpus` threads.
+        # From 100 rows, every table here spreads its blocks over `cpus` threads.
         want = knn_entropy_whole_matrix(u, CFG)
         for cpus in THREAD_COUNTS:
             with pytest.MonkeyPatch.context() as m:
@@ -290,19 +290,31 @@ class TestNeighborSearch:
 
     def test_threads_follow_the_row_count_rule(self, monkeypatch):
         # The bundled tables, the paper's 1000-row simulation and every table
-        # below _JOB_MAX_ROWS query on one thread; from there, on all CPUs.
-        seen = []
+        # below _JOB_MAX_ROWS query in the calling thread; from there, on up
+        # to _CPUS pool threads.  Every query runs on one thread.
+        caller = threading.get_ident()
+        trees, seen = [], []
 
         class RecordingTree(cKDTree):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                trees.append(self.n)
+
             def query(self, *args, **kwargs):
-                seen.append(kwargs.get("workers", 1))
+                seen.append((self.n, kwargs.get("workers", 1), threading.get_ident()))
                 return super().query(*args, **kwargs)
 
         monkeypatch.setattr(ce_mod, "_CPUS", 4)
         monkeypatch.setattr(ce_mod, "cKDTree", RecordingTree)
-        for n in (137, 167, 1000, 10_000, 49_999, 50_000):
+        sizes = (137, 167, 1000, 10_000, 49_999, 50_000)
+        for n in sizes:
             knn_entropy(np.random.default_rng(n).random((n, 3)), CFG)
-        assert seen == [1, 1, 1, 1, 1, 4]
+        assert trees == list(sizes)
+        assert [n for n, _, _ in seen] == [n for n in sizes for _ in range(0, n, ce_mod._WIDTH_BLOCK_ROWS)]
+        assert {workers for _, workers, _ in seen} == {1}
+        assert {thread for n, _, thread in seen if n < 50_000} == {caller}
+        pooled = {thread for n, _, thread in seen if n == 50_000}
+        assert caller not in pooled and 1 <= len(pooled) <= 4
 
     def test_duplicate_points_hit_distance_floor(self):
         u = np.array([[0.5, 0.5]] * 6)
@@ -545,6 +557,41 @@ class TestColumnAtATime:
         u = empirical_copula(np.random.default_rng(n + d).integers(0, 4, (n, d)).astype(float), CFG)
         assert knn_entropy(u, CFG) == knn_entropy_whole_matrix(u, CFG)
 
+    @pytest.mark.parametrize("fortran", [False, True], ids=["C", "F"])
+    @pytest.mark.parametrize("cpus", THREAD_COUNTS)
+    @pytest.mark.parametrize("block_rows", [1, 7, 4096])
+    def test_pooled_blocks_equal_whole_matrix(self, block_rows, cpus, fortran, monkeypatch):
+        # The blocks of a search from _JOB_MAX_ROWS rows, run on the pool
+        # threads in any order, on a tied 3-D copula.
+        x = np.random.default_rng(block_rows + cpus).integers(0, 6, (1500, 3)).astype(float)
+        u = empirical_copula(x, CFG)
+        want = knn_entropy_whole_matrix(u, CFG)
+        monkeypatch.setattr(ce_mod, "_JOB_MAX_ROWS", 100)
+        monkeypatch.setattr(ce_mod, "_WIDTH_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(ce_mod, "_CPUS", cpus)
+        assert knn_entropy(np.asfortranarray(u) if fortran else u, CFG) == want
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_error_in_one_block_propagates(self, cpus, monkeypatch):
+        class BlockFailed(Exception):
+            pass
+
+        calls = []
+
+        class FailingTree(cKDTree):
+            def query(self, *args, **kwargs):
+                calls.append(None)
+                if len(calls) == 3:
+                    raise BlockFailed
+                return super().query(*args, **kwargs)
+
+        monkeypatch.setattr(ce_mod, "_JOB_MAX_ROWS", 100)
+        monkeypatch.setattr(ce_mod, "_WIDTH_BLOCK_ROWS", 50)
+        monkeypatch.setattr(ce_mod, "_CPUS", cpus)
+        monkeypatch.setattr(ce_mod, "cKDTree", FailingTree)
+        with pytest.raises(BlockFailed):
+            knn_entropy(np.random.default_rng(5).random((500, 2)), CFG)
+
 
 class TestScratchMemory:
     """Single-call traced peaks at 10^5 rows: the output plus a few columns."""
@@ -562,4 +609,4 @@ class TestScratchMemory:
         ds = simulate(SimConfig(seed=4, n_subjects=self.N))
         u = empirical_copula(np.column_stack([ds.time, ds.status, ds.covariates[:, 0]]), CFG)
         _, peak = traced_peak(lambda: knn_entropy(u, CFG))
-        assert peak < 6 * 2**20  # the n x 3 widths matrices took 8.4 MiB
+        assert peak < 3 * 2**20  # the n x 3 widths matrices took 8.4 MiB, a whole-array query 4.6 MiB

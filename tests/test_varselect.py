@@ -190,6 +190,8 @@ class TestSelectVariables:
     def test_threshold(self):
         r = make_ranking([("a", -0.5), ("b", -0.2), ("c", -0.01)])
         assert select_variables(r, threshold=-0.1) == ["a", "b"]
+        assert select_variables(r, threshold=np.float64(-0.3)) == ["a"]
+        assert select_variables(r, threshold=0) == ["a", "b", "c"]
 
     def test_threshold_empty_is_ok(self):
         r = make_ranking([("a", -0.5)])
@@ -213,6 +215,12 @@ class TestSelectVariables:
         with pytest.raises(InvalidInputError):
             select_variables(r, threshold=float("nan"))
 
+    @pytest.mark.parametrize("threshold", [True, False, np.bool_(True), "a", [0.1], np.array([0.1]), 0.1j, 10**400])
+    def test_threshold_must_be_a_real_number(self, threshold):
+        r = make_ranking([("a", -0.5), ("b", -0.2)])
+        with pytest.raises(InvalidInputError, match="threshold must be a finite number"):
+            select_variables(r, threshold=threshold)
+
 
 def test_rank_with_status_scratch_memory(traced_peak, monkeypatch):
     # 10^5 rows: one (n, 3) copula matrix plus one covariate's copula or kNN
@@ -227,28 +235,35 @@ def test_rank_with_status_scratch_memory(traced_peak, monkeypatch):
 
 
 class TestThreadBudget:
-    """Query threads per kd-tree search, and searches running at once."""
+    """Query threads per kNN search, and searches (kd-tree builds) running at once."""
 
     @staticmethod
     def record(monkeypatch):
+        # A search is one tree: it is built, then queried block by block.  A
+        # query of a tree that is no longer the latest built, at its start or
+        # its end, overlaps a later search.
         lock = threading.Lock()
-        log = {"workers": [], "threads": 0, "searches": 0, "max_threads": 0, "max_searches": 0}
+        log = {"trees": 0, "workers": [], "queries": 0, "max_queries": 0, "overlapping": 0}
 
         class RecordingTree(ce_mod.cKDTree):
-            def query(self, *args, **kwargs):
-                workers = kwargs.get("workers", 1)
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
                 with lock:
-                    log["workers"].append(workers)
-                    log["threads"] += workers
-                    log["searches"] += 1
-                    log["max_threads"] = max(log["max_threads"], log["threads"])
-                    log["max_searches"] = max(log["max_searches"], log["searches"])
+                    log["trees"] += 1
+                    self.serial = log["trees"]
+
+            def query(self, *args, **kwargs):
+                with lock:
+                    log["workers"].append(kwargs.get("workers", 1))
+                    log["queries"] += 1
+                    log["max_queries"] = max(log["max_queries"], log["queries"])
+                    log["overlapping"] += self.serial != log["trees"]
                 try:
                     return super().query(*args, **kwargs)
                 finally:
                     with lock:
-                        log["threads"] -= workers
-                        log["searches"] -= 1
+                        log["queries"] -= 1
+                        log["overlapping"] += self.serial != log["trees"]
 
         monkeypatch.setattr(ce_mod, "cKDTree", RecordingTree)
         return log
@@ -259,9 +274,9 @@ class TestThreadBudget:
         monkeypatch.setattr(ce_mod, "_CPUS", cpus)
         ds = table_with_discrete(10_000, 3)
         _rank(ds, (False, True), CFG)
-        assert len(log["workers"]) == 2 * ds.covariates.shape[1]
-        assert log["max_threads"] <= cpus
-        # Whole searches side by side, each on one thread.
+        assert log["trees"] == 2 * ds.covariates.shape[1]
+        assert log["max_queries"] <= cpus
+        # Whole searches side by side, each querying on one thread.
         assert log["workers"] == [1] * len(log["workers"])
 
     @pytest.mark.parametrize("name", ["veteran", "cancer"])
@@ -275,12 +290,17 @@ class TestThreadBudget:
         assert ds.n_rows in (137, 167)
         _rank(ds, (False, True), CFG)
         assert started == []
-        assert log["workers"] == [1] * 2 * ds.covariates.shape[1]
+        assert log["trees"] == 2 * ds.covariates.shape[1]
+        assert log["workers"] == [1] * log["trees"]
+        assert log["overlapping"] == 0
 
     @pytest.mark.parametrize("cpus", [2, 4, 8])
     def test_large_tables_search_one_at_a_time(self, cpus, monkeypatch):
         log = self.record(monkeypatch)
         monkeypatch.setattr(ce_mod, "_CPUS", cpus)
         rank_variables(simulate(SimConfig(seed=5, n_subjects=100_000)), with_status=True)
-        assert log["max_searches"] == 1
-        assert log["workers"] == [cpus] * 5
+        assert log["trees"] == 5
+        assert log["overlapping"] == 0
+        # Each search's blocks are spread over the CPUs, each query on one thread.
+        assert log["max_queries"] <= cpus
+        assert log["workers"] == [1] * len(log["workers"])
