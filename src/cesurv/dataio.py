@@ -163,11 +163,6 @@ class _Sha256Reader(io.RawIOBase):
         return n
 
 
-def _floats(tokens) -> np.ndarray:
-    """Tokens as float64 with Python ``float`` semantics; ValueError if any fails."""
-    return np.array(list(map(float, tokens)), dtype=float)
-
-
 def _missing_mask(tokens) -> np.ndarray:
     """True where a token is missing."""
     return np.fromiter(map(_MISSING_TOKENS.__contains__, tokens), dtype=bool, count=len(tokens))
@@ -190,7 +185,7 @@ def _parse_block(raw):
     mask = _missing_mask(tokens)
     values = np.full(len(tokens), np.nan)
     try:
-        values[~mask] = _floats(itertools.compress(tokens, (~mask).tolist()))
+        values[~mask] = np.fromiter(map(float, itertools.compress(tokens, (~mask).tolist())), dtype=float)
     except ValueError:
         return None
     return values, mask
@@ -267,20 +262,17 @@ class _Rows:
     def take(self, kept, names) -> np.ndarray:
         """``buf[kept][:, slots of names]`` as a C-order matrix, built in place.
 
-        ``kept`` (increasing record indices, or None for every record) is
-        copied a block at a time into the front of the buffer, which is
-        then shrunk to the matrix: each block of output rows lands before
-        the buffer rows still to be read, since the matrix, whose ``names``
-        differ, is no wider than the buffer.  Neither the buffer nor a view
-        of it is usable afterwards.
+        ``kept`` (increasing record indices) is copied a block at a time
+        into the front of the buffer, which is then shrunk to the matrix:
+        each block of output rows lands before the buffer rows still to be
+        read, since the matrix, whose ``names`` differ, is no wider than the
+        buffer.  Neither the buffer nor a view of it is usable afterwards.
         """
-        n = self.n if kept is None else kept.size
         cols = [self.slots[name] for name in names]
-        d, flat = len(cols), self.buf.reshape(-1)
+        n, d, flat = kept.size, len(cols), self.buf.reshape(-1)
         for start in range(0, n, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, n)
-            block = self.buf[start:stop] if kept is None else self.buf[kept[start:stop]]
-            flat[start * d:stop * d] = block[:, cols].ravel()
+            flat[start * d:stop * d] = self.buf[np.ix_(kept[start:stop], cols)].ravel()
         del flat
         matrix, self.buf = self.buf, None
         matrix.resize((n, d), refcheck=False)
@@ -458,26 +450,21 @@ def load_dataset(spec: DatasetSpec) -> SurvivalDataset:
     dropped = np.zeros(n_raw, dtype=bool)
     for col in screen:
         dropped |= columns[col].mask
-    all_kept = not dropped.any()
-    kept = range(n_raw) if all_kept else np.flatnonzero(~dropped)
-    rows = slice(0, n_raw) if all_kept else kept
-    n_kept = len(kept)
+    kept = np.flatnonzero(~dropped)
+    n_kept = kept.size
     if n_kept == 0:
         raise DatasetLoadError(f"{spec.path}: no rows left after dropping missing values")
 
     def kept_tokens(col):
         tokens = columns[col].tokens
-        return tokens if all_kept else [tokens[i] for i in kept.tolist()]
+        return [tokens[i] for i in kept.tolist()]
 
     def kept_values(col):
-        """The column's kept rows as numbers, or None if one is not a number.
-
-        A number column's rows are a view of the row buffer when all are kept.
-        """
+        """The column's kept rows as numbers, or None if one is not a number."""
         if columns[col].mode == _NUMBER:
-            return numbers.buf[rows, numbers.slots[col]]
+            return numbers.buf[kept, numbers.slots[col]]
         try:
-            return _floats(kept_tokens(col))
+            return np.fromiter(map(float, kept_tokens(col)), dtype=float, count=n_kept)
         except ValueError:
             return None
 
@@ -489,8 +476,6 @@ def load_dataset(spec: DatasetSpec) -> SurvivalDataset:
         tokens = kept_tokens(spec.time_col)
         i = next(i for i, t in enumerate(tokens) if _parse_float(t) is None)
         reject(i, spec.time_col, f"cannot parse {tokens[i]!r} as a number")
-    # A copy: a view of the row buffer would not outlive ``numbers.take``.
-    time = np.array(time)
     i = int(np.argmin((time > 0) & (time < np.inf)))
     if not 0 < time[i] < np.inf:
         reject(i, spec.time_col,
@@ -531,8 +516,8 @@ def load_dataset(spec: DatasetSpec) -> SurvivalDataset:
             codes = {t: code for code, t in enumerate(dict.fromkeys(tokens), start=1)}
             values = [codes[t] for t in tokens]
             categorical_maps[col] = codes
-        numbers.buf[rows, numbers.slots[col]] = values
-    matrix = numbers.take(None if all_kept else kept, covariates)
+        numbers.buf[kept, numbers.slots[col]] = values
+    matrix = numbers.take(kept, covariates)
     if not np.isfinite(matrix).all():
         i, j = np.argwhere(~np.isfinite(matrix))[0]
         reject(i, covariates[j], f"{float(matrix[i, j])!r} is not a finite number")
@@ -563,7 +548,11 @@ def save_dataset(ds: SurvivalDataset, path) -> None:
 
     Only the header goes through ``csv.writer``, since names can need quoting;
     number tokens are joined directly, one block of ``_BLOCK_ROWS`` at a time.
+    A covariate named ``time`` or ``status`` is an error, and nothing is written.
     """
+    clash = [name for name in ("time", "status") if name in ds.names]
+    if clash:
+        raise InvalidInputError(f"covariate names {clash} clash with the file's time and status columns")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow([*ds.names, "time", "status"])
         for start in range(0, ds.n_rows, _BLOCK_ROWS):

@@ -359,6 +359,15 @@ class TestRoundTrip:
         np.testing.assert_array_equal(back.covariates, ds.covariates)
         np.testing.assert_array_equal(back.time, ds.time)
 
+    @pytest.mark.parametrize("name", ["time", "status"])
+    def test_covariate_named_like_a_file_column_is_rejected_unwritten(self, tmp_path, name):
+        # Its header would repeat the name, which load rejects as a duplicate.
+        ds = SurvivalDataset(np.ones((3, 2)), np.ones(3), np.ones(3, dtype=int), [name, "x"])
+        out = tmp_path / "rt.csv"
+        with pytest.raises(InvalidInputError, match=re.escape(f"covariate names [{name!r}] clash")):
+            save_dataset(ds, out)
+        assert not out.exists()
+
 
 class TestColumnarIO:
     """The block-wise writer and the columnar reader against per-value references."""
@@ -628,16 +637,25 @@ class TestBlockwiseRead:
     def test_load_holds_outputs_plus_one_block(self, tmp_path, traced_peak):
         # 10^5 rows x 9 columns: the arrays returned take 6.9 MiB; reading the
         # whole file into per-row token lists first peaked at 71.9 MiB, and
-        # holding every parsed column beside the matrix at 16.4 MiB.
+        # holding every parsed column beside the matrix at 16.4 MiB.  The
+        # table is loaded with every row kept, then with covariate ``a``
+        # missing in every 20th record.
         rng = np.random.default_rng(8)
         n = 100_000
         x = np.column_stack([rng.standard_normal((n, 4)), rng.integers(0, 5, (n, 3))])
         ds = SurvivalDataset(x, rng.random(n) + 0.5, rng.integers(0, 2, n), list("abcdefg"))
-        p = tmp_path / "wide.csv"
+        p, dropped = tmp_path / "wide.csv", tmp_path / "wide-dropped.csv"
         save_dataset(ds, p)
-        back, peak = traced_peak(lambda: load_dataset(DatasetSpec(path=p)))
-        np.testing.assert_array_equal(back.covariates, ds.covariates)
-        assert peak < 12 * 2**20
+        header, *lines = p.read_text().splitlines()
+        for i in range(19, n, 20):
+            lines[i] = "NA" + lines[i][lines[i].index(","):]
+        dropped.write_text("\n".join([header, *lines]) + "\n")
+        for path, kept in ((p, np.arange(n)), (dropped, np.flatnonzero(np.arange(n) % 20 != 19))):
+            back, peak = traced_peak(lambda path=path: load_dataset(DatasetSpec(path=path)))
+            np.testing.assert_array_equal(back.covariates, ds.covariates[kept])
+            np.testing.assert_array_equal(back.time, ds.time[kept])
+            assert back.attrs["n_dropped_rows"] == n - kept.size
+            assert peak < 12 * 2**20, path.name
 
 
 class TestRowBuffer:

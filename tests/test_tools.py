@@ -16,10 +16,11 @@ def test_output_digests_lists_every_normalized_output(tmp_path):
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in listing)
     assert paths == sorted(paths)
     assert set(paths) == {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
-    # 10 reproduce-paper runs of 9 files and a log each, 3 sources of
-    # 2 run-experiment runs (3 files), 2 selects (2 files), a fit and an
-    # evaluate (1 file), each with a log, and the simulation settings.
-    assert len(paths) == 10 * 10 + 3 * (2 * 4 + 2 * 3 + 2 * 2) + 1
+    # 10 reproduce-paper runs of 9 files and a log each, a simulate run (a
+    # file and a log), 4 sources of 2 run-experiment runs (3 files), 2
+    # selects (2 files), a fit and an evaluate (1 file), each with a log,
+    # and the simulation settings.
+    assert len(paths) == 10 * 10 + 2 + 4 * (2 * 4 + 2 * 3 + 2 * 2) + 1
     package_dir = str(Path(cesurv.__file__).resolve().parent)
     for p in out.rglob("*"):
         if p.is_file():

@@ -6,9 +6,12 @@ Runs ``cesurv.cli.main`` from the ``src`` directory of this script's
 checkout, with OUTDIR as the working directory:
 
 - ``reproduce-paper --seed 0`` to ``--seed 9``;
-- on a 300-row simulation (``--sim-config``), ``--bundled cancer`` and
-  ``--bundled veteran``: ``run-experiment --top 4 --plot-data`` with and
-  without ``--with-status``, ``select --top 4 --plot-data`` with and without
+- ``simulate --n 3000 --seed 0``, which writes ``simulate/data.csv``: a
+  numeric file of three loader blocks whose rows are all kept;
+- on a 300-row simulation (``--sim-config``), ``--bundled cancer``,
+  ``--bundled veteran`` and ``--data simulate/data.csv``:
+  ``run-experiment --top 4 --plot-data`` with and without
+  ``--with-status``, ``select --top 4 --plot-data`` with and without
   ``--with-status``, ``fit``, and ``evaluate`` of that fit.
 
 Each command's stdout, stderr and exit code go to a ``.log`` file beside
@@ -37,6 +40,7 @@ SOURCES = {
     "simulation": ["--sim-config", "sim_config.json"],
     "cancer": ["--bundled", "cancer"],
     "veteran": ["--bundled", "veteran"],
+    "data": ["--data", "simulate/data.csv"],
 }
 
 
@@ -45,6 +49,7 @@ def commands():
     for seed in range(10):
         yield f"reproduce-paper/seed{seed}", ["reproduce-paper", "--seed", str(seed),
                                               "--out", f"reproduce-paper/seed{seed}"]
+    yield "simulate/data", ["simulate", "--n", "3000", "--seed", "0", "--out", "simulate/data.csv"]
     for name, source in SOURCES.items():
         for status, flags in (("", []), ("-with-status", ["--with-status"])):
             out = f"run-experiment/{name}{status}"
@@ -59,7 +64,7 @@ def commands():
 
 
 def run_all(outdir: Path) -> None:
-    for sub in ("reproduce-paper", "run-experiment", "select", "fit", "evaluate"):
+    for sub in ("reproduce-paper", "simulate", "run-experiment", "select", "fit", "evaluate"):
         (outdir / sub).mkdir(parents=True, exist_ok=True)
     (outdir / "sim_config.json").write_text(json.dumps({"n_subjects": 300, "seed": 0}) + "\n")
     cwd = os.getcwd()
