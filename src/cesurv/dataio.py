@@ -72,6 +72,9 @@ class DatasetSpec:
         object.__setattr__(self, "path", str(self.path))
         if self.time_col == self.status_col:
             raise InvalidInputError("time_col and status_col must differ")
+        for name, cols in (("covariate_cols", self.covariate_cols), ("na_screen_cols", self.na_screen_cols)):
+            if isinstance(cols, str):  # tuple() would split a bare name into letters
+                raise InvalidInputError(f"{name} must be a sequence of column names, got {cols!r}")
         if self.covariate_cols is not None:
             cov = tuple(self.covariate_cols)
             if self.time_col in cov or self.status_col in cov:
@@ -455,27 +458,23 @@ def load_dataset(spec: DatasetSpec) -> SurvivalDataset:
     if n_kept == 0:
         raise DatasetLoadError(f"{spec.path}: no rows left after dropping missing values")
 
-    def kept_tokens(col):
-        tokens = columns[col].tokens
-        return [tokens[i] for i in kept.tolist()]
-
-    def kept_values(col):
-        """The column's kept rows as numbers, or None if one is not a number."""
+    def kept_column(col):
+        """The column's kept rows as float64 values, or as tokens if one is not a number."""
         if columns[col].mode == _NUMBER:
             return numbers.buf[kept, numbers.slots[col]]
+        tokens = list(map(columns[col].tokens.__getitem__, kept.tolist()))
         try:
-            return np.fromiter(map(float, kept_tokens(col)), dtype=float, count=n_kept)
+            return np.fromiter(map(float, tokens), dtype=float, count=n_kept)
         except ValueError:
-            return None
+            return tokens
 
     def reject(i, col, problem):
         raise DatasetLoadError(f"{spec.path}: line {_line(spec.path, kept[i])}, column {col!r}: {problem}")
 
-    time = kept_values(spec.time_col)
-    if time is None:
-        tokens = kept_tokens(spec.time_col)
-        i = next(i for i, t in enumerate(tokens) if _parse_float(t) is None)
-        reject(i, spec.time_col, f"cannot parse {tokens[i]!r} as a number")
+    time = kept_column(spec.time_col)
+    if isinstance(time, list):
+        i = next(i for i, t in enumerate(time) if _parse_float(t) is None)
+        reject(i, spec.time_col, f"cannot parse {time[i]!r} as a number")
     i = int(np.argmin((time > 0) & (time < np.inf)))
     if not 0 < time[i] < np.inf:
         reject(i, spec.time_col,
@@ -483,23 +482,22 @@ def load_dataset(spec: DatasetSpec) -> SurvivalDataset:
 
     event = spec.status_event_value
     number = np.nan if isinstance(event, str) else float(event)  # text matches no number
-    values = kept_values(spec.status_col)
-    if values is not None:
+    values = kept_column(spec.status_col)
+    if isinstance(values, np.ndarray):
         status = values == number
         j = int(np.argmax(~status & np.isfinite(values)))  # the first finite other value, if any
         other = None if status[j] or not np.isfinite(values[j]) else float(values[j])
         i = int(np.argmin(status | (values == other)))  # the first row holding neither, if any
         i = None if status[i] or values[i] == other else i
     else:
-        tokens = kept_tokens(spec.status_col)
-        keys = {t: t if (x := _parse_float(t)) is None else x for t in dict.fromkeys(tokens)}
+        keys = {t: t if (x := _parse_float(t)) is None else x for t in dict.fromkeys(values)}
         other = next((k for k in keys.values() if k not in (event, number)
                       and (isinstance(k, str) or np.isfinite(k))), None)
-        i = next((tokens.index(t) for t, k in keys.items() if k not in (event, number, other)), None)
+        i = next((values.index(t) for t, k in keys.items() if k not in (event, number, other)), None)
         events = {t for t, k in keys.items() if k in (event, number)}
-        status = np.fromiter(map(events.__contains__, tokens), dtype=bool, count=n_kept)
+        status = np.fromiter(map(events.__contains__, values), dtype=bool, count=n_kept)
     if i is not None:
-        bad = keys[tokens[i]] if values is None else float(values[i])
+        bad = keys[values[i]] if isinstance(values, list) else float(values[i])
         reject(i, spec.status_col, f"{bad!r} is not a finite number" if other is None
                else f"{bad!r} is neither the event value {event!r} nor the other value {other!r}")
     status = status.astype(int)  # rebinding frees the flags before the matrix is built
@@ -510,11 +508,10 @@ def load_dataset(spec: DatasetSpec) -> SurvivalDataset:
     for col in covariates:
         if columns[col].mode == _NUMBER:
             continue
-        values = kept_values(col)
-        if values is None:
-            tokens = kept_tokens(col)
-            codes = {t: code for code, t in enumerate(dict.fromkeys(tokens), start=1)}
-            values = [codes[t] for t in tokens]
+        values = kept_column(col)
+        if isinstance(values, list):
+            codes = {t: code for code, t in enumerate(dict.fromkeys(values), start=1)}
+            values = [codes[t] for t in values]
             categorical_maps[col] = codes
         numbers.buf[kept, numbers.slots[col]] = values
     matrix = numbers.take(kept, covariates)

@@ -102,30 +102,28 @@ def _stage(name):
 
 def dataset_from_source(source) -> SurvivalDataset:
     """Simulate a SimConfig, load a DatasetSpec or pass a SurvivalDataset through."""
+    return _resolve(source)[0]
+
+
+def _resolve(source) -> tuple:
+    """The dataset of a source, and the input digest and source description of its report."""
     if isinstance(source, SimConfig):
-        return simulate(source)
+        cfg = source.to_dict()
+        return simulate(source), {
+            "input_sha256": hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest(),
+            "sim_seed": source.seed, "source": {"kind": "simulation", "sim_config": cfg}}
     if isinstance(source, DatasetSpec):
-        return load_dataset(source)
+        ds = load_dataset(source)
+        return ds, {"input_sha256": ds.attrs["source_sha256"],
+                    "source": {"kind": "file", "dataset_spec": source.to_dict()}}
     if isinstance(source, SurvivalDataset):
-        return source
+        arrays = (source.covariates, source.time, source.status)
+        digest = hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays))
+        return source, {"input_sha256": digest.hexdigest(), "source": {"kind": "in-memory"}}
     raise InvalidInputError(
         f"experiment source must be SimConfig, DatasetSpec or SurvivalDataset, "
         f"got {type(source).__name__}"
     )
-
-
-def _provenance(source, ds: SurvivalDataset) -> dict:
-    """Input digest and source description of a report."""
-    if isinstance(source, SimConfig):
-        cfg = source.to_dict()
-        return {"input_sha256": hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest(),
-                "sim_seed": source.seed, "source": {"kind": "simulation", "sim_config": cfg}}
-    if isinstance(source, DatasetSpec):
-        return {"input_sha256": ds.attrs["source_sha256"],
-                "source": {"kind": "file", "dataset_spec": source.to_dict()}}
-    arrays = (ds.covariates, ds.time, ds.status)
-    digest = hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays))
-    return {"input_sha256": digest.hexdigest(), "source": {"kind": "in-memory"}}
 
 
 def evaluate(model: AFTModel, ds: SurvivalDataset, label: str) -> EvalReport:
@@ -158,8 +156,7 @@ def run_experiment(
     since the selection ranking is then already the with-status one.
     """
     with _stage("simulate" if isinstance(source, SimConfig) else "load"):
-        ds = dataset_from_source(source)
-    provenance = _provenance(source, ds)
+        ds, provenance = _resolve(source)
 
     with _stage("rank"):
         # With both rankings, the slower with-status search of each covariate

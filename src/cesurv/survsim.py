@@ -8,6 +8,7 @@ stops at a fixed administrative follow-up cap.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -15,6 +16,13 @@ import numpy as np
 from .errors import InvalidInputError, _is_integer, dataclass_kwargs
 
 __all__ = ["SimConfig", "SurvivalDataset", "simulate"]
+
+
+def _real(name, value) -> float:
+    """``value`` as a float; InvalidInputError naming ``name`` unless it is a number other than nan."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value != value:
+        raise InvalidInputError(f"{name} must be a number other than nan, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -36,10 +44,11 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(float(b) for b in self.coefficients))
-        object.__setattr__(
-            self, "covariate_params", tuple((float(m), float(v)) for m, v in self.covariate_params)
-        )
+        for name in ("max_follow_up", "event_shape", "event_log_scale", "censor_shape", "censor_log_scale"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        object.__setattr__(self, "coefficients", tuple(_real("coefficients", b) for b in self.coefficients))
+        object.__setattr__(self, "covariate_params", tuple(
+            (_real("covariate_params", m), _real("covariate_params", v)) for m, v in self.covariate_params))
         if not _is_integer(self.n_subjects):
             raise InvalidInputError(f"n_subjects must be an integer, got {self.n_subjects!r}")
         if self.n_subjects < 1:
@@ -59,8 +68,6 @@ class SimConfig:
             raise InvalidInputError(f"seed must be an integer >= 0, got {self.seed!r}")
         object.__setattr__(self, "n_subjects", int(self.n_subjects))
         object.__setattr__(self, "seed", int(self.seed))
-        for name in ("max_follow_up", "event_shape", "event_log_scale", "censor_shape", "censor_log_scale"):
-            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def n_covariates(self) -> int:

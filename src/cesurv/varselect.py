@@ -62,35 +62,32 @@ def _rank(ds: SurvivalDataset, with_status: tuple, cfg: EstimatorConfig) -> list
 
     The empirical copula is computed column by column, so each score equals
     copula_entropy(column_stack(base + [covariate]), cfg) with base (time[,
-    status]).  Each base's copula is written once into the first columns of
-    one matrix per ranking, and each covariate's copula, computed once,
-    overwrites the last column of every matrix before their kNN jobs run,
-    in the order of ``with_status``.
-    No copula is held past its copy into the matrices, so the scratch
-    memory of a search is the same as with one ranking.
+    status]).  One matrix holds the copulas of the pass's base and, in its
+    last column, of one covariate at a time; the with-status sample is the
+    whole matrix, and the one without status is its view of the time and
+    covariate columns (``u[:, ::len(base)]``).  Each covariate's copula,
+    computed once, overwrites the last column before that covariate's kNN
+    jobs run, in the order of ``with_status``.  The kd-tree copies a
+    strided view, and the job pool copies every sample, so each score is
+    bitwise the one of a C-order matrix.
     """
     d = ds.covariates.shape[1]
     if d == 0:
         raise InvalidInputError("dataset has no covariates to rank")
     if ds.n_rows <= cfg.k:
         raise InvalidInputError(f"need more than k={cfg.k} rows, got {ds.n_rows}")
-    us = [np.empty((ds.n_rows, 3 if s else 2)) for s in with_status]
-    for i, col in enumerate([ds.time, ds.status] if any(with_status) else [ds.time]):
-        copula = empirical_copula(col, cfg)[:, 0]
-        for u in us:
-            if i < u.shape[1] - 1:  # only with-status matrices have a status column
-                u[:, i] = copula
-        del copula
+    base = [ds.time, ds.status] if any(with_status) else [ds.time]
+    u = np.empty((ds.n_rows, len(base) + 1))
+    for i, col in enumerate(base):
+        u[:, i] = empirical_copula(col, cfg)[:, 0]
 
     def samples():
         for j in range(d):
-            copula = empirical_copula(ds.covariates[:, j], cfg)[:, 0]
-            for u in us:
-                u[:, -1] = copula
-            del copula
-            yield from us
+            u[:, -1] = empirical_copula(ds.covariates[:, j], cfg)[:, 0]
+            for s in with_status:
+                yield u if s else u[:, ::len(base)]
 
-    ces = np.array(_unit_cube_entropies(samples(), ds.n_rows, cfg)).reshape(d, len(us))
+    ces = np.array(_unit_cube_entropies(samples(), ds.n_rows, cfg)).reshape(d, len(with_status))
     constant = [bool(np.all(col == col[0])) for col in ds.covariates.T]
     rankings = []
     for s, ce in zip(with_status, ces.T):

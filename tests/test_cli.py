@@ -422,6 +422,13 @@ class TestValueTypes:
         assert run("select", "--sim-config", str(cfg)) == 2
         assert f"SimConfig field 'n_subjects' must be int, got {shown}" in capsys.readouterr().err
 
+    def test_sim_config_nan_exit_2(self, tmp_path, capsys):
+        # JSON's NaN is a float, so it passes the type check; the setting check names it.
+        cfg = tmp_path / "s.json"
+        cfg.write_text('{"event_shape": NaN}')
+        assert run("select", "--sim-config", str(cfg)) == 2
+        assert "event_shape must be a number other than nan, got nan" in capsys.readouterr().err
+
     def test_model_coefficient_not_a_number_exit_2(self, tmp_path, capsys):
         path = tmp_path / "model.json"
         assert run("fit", "--bundled", "veteran", "--covariates", "karno", "--out", str(path)) == 0

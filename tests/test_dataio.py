@@ -235,6 +235,12 @@ class TestLoadDataset:
         with pytest.raises(InvalidInputError, match="covariate_cols names a column more than once"):
             DatasetSpec(path="x.csv", covariate_cols=("b", "a", "b"))
 
+    @pytest.mark.parametrize("field", ["covariate_cols", "na_screen_cols"])
+    def test_spec_rejects_a_bare_column_name(self, field):
+        # tuple("age") would be the columns 'a', 'g' and 'e'.
+        with pytest.raises(InvalidInputError, match=f"{field} must be a sequence of column names, got 'age'"):
+            DatasetSpec(path="x.csv", **{field: "age"})
+
     @pytest.mark.parametrize("event", [float("nan"), float("-inf"), "inf", 10**400, True, [1]],
                              ids=["nan", "minus_inf", "inf_text", "int_beyond_float", "bool", "list"])
     def test_spec_rejects_unusable_event_value(self, event):

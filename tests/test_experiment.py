@@ -1,18 +1,19 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from cesurv.copula_entropy import EstimatorConfig
-from cesurv.dataio import DatasetSpec, bundled_dataset_spec
+from cesurv.dataio import DatasetSpec, bundled_dataset_spec, save_dataset
 from cesurv.errors import DatasetLoadError, InvalidInputError, NoEventsError
 from cesurv.experiment import (
     run_experiment,
     write_performance_table,
     write_ranking_table,
 )
-from cesurv.survsim import SimConfig, SurvivalDataset
+from cesurv.survsim import SimConfig, SurvivalDataset, simulate
 
 
 class TestRunExperiment:
@@ -92,6 +93,23 @@ class TestRunExperiment:
                              np.zeros(50, dtype=int), ["a", "b"])
         with pytest.raises(NoEventsError, match=r"\[fit\]"):
             run_experiment(ds, top_m=1)
+
+    def test_input_digest_of_each_source_kind(self, tmp_path):
+        cfg = SimConfig(n_subjects=200, seed=3)
+        sim = run_experiment(cfg, top_m=2).provenance
+        assert sim["input_sha256"] == hashlib.sha256(json.dumps(cfg.to_dict(), sort_keys=True).encode()).hexdigest()
+        assert sim["source"]["kind"] == "simulation"
+
+        ds = simulate(cfg)
+        memory = run_experiment(ds, top_m=2).provenance
+        raw = ds.covariates.tobytes() + ds.time.tobytes() + ds.status.tobytes()
+        assert memory == {"input_sha256": hashlib.sha256(raw).hexdigest(), "source": {"kind": "in-memory"}}
+
+        path = tmp_path / "data.csv"
+        save_dataset(ds, path)
+        file = run_experiment(DatasetSpec(path=path), top_m=2).provenance
+        assert file["input_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert file["source"]["kind"] == "file"
 
     def test_rejects_unknown_source(self):
         with pytest.raises(InvalidInputError):

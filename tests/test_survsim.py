@@ -43,6 +43,24 @@ class TestSimConfig:
         with pytest.raises(InvalidInputError, match=shown):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize("name, value", [
+        *[(name, value)
+          for name in ("max_follow_up", "event_shape", "event_log_scale", "censor_shape", "censor_log_scale")
+          for value in (float("nan"), "5", True)],
+        ("coefficients", ("a",) * 5),
+        ("coefficients", (np.nan,) * 5),
+        ("covariate_params", ((0.0, np.float32("nan")),) * 5),
+        ("covariate_params", (("0", 1.0),) * 5),
+    ])
+    def test_rejects_a_setting_that_is_not_a_number(self, name, value):
+        # nan passes every range check, since each comparison with it is false.
+        with pytest.raises(InvalidInputError, match=f"^{name} must be a number other than nan, got "):
+            SimConfig(**{name: value})
+
+    def test_infinite_follow_up_is_valid(self):
+        ds = simulate(SimConfig(n_subjects=50, max_follow_up=float("inf")))
+        assert np.isfinite(ds.time).all()
+
     @pytest.mark.parametrize("name", ["max_follow_up", "event_shape", "event_log_scale",
                                       "censor_shape", "censor_log_scale"])
     def test_numpy_float_settings_serialize_as_plain_floats(self, name):

@@ -148,8 +148,15 @@ class TestRankVariables:
         report = run_experiment(ds, top_m=3, include_status_ranking=True)
         assert experiment_rankings == json.dumps([report.ranking.to_dict(), report.ranking_with_status.to_dict()])
 
-    @pytest.mark.parametrize("n", [137, 1000, 10_000, 20_000])
-    def test_joint_pass_equals_two_rankings_on_every_cpu_count(self, n, monkeypatch):
+    @pytest.mark.parametrize("n, job_max_rows", [(137, None), (1000, None), (10_000, None), (20_000, None),
+                                                 (5000, 2000)],
+                             ids=["137", "1000", "10000", "20000", "5000-pooled-blocks"])
+    def test_joint_pass_equals_two_rankings_on_every_cpu_count(self, n, job_max_rows, monkeypatch):
+        # With job_max_rows, each search of the pass, the strided view of
+        # the without-status sample too, runs its blocks in the block pool.
+        if job_max_rows:
+            monkeypatch.setattr(ce_mod, "_JOB_MAX_ROWS", job_max_rows)
+            monkeypatch.setattr(ce_mod, "_WIDTH_BLOCK_ROWS", 1024)
         ds = table_with_discrete(n, n)
         monkeypatch.setattr(ce_mod, "_CPUS", 1)
         want = [rank_variables(ds, with_status=s, cfg=CFG) for s in (False, True)]

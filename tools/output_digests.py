@@ -1,4 +1,4 @@
-"""Digest every file the command line writes, to show that a refactor changed no output.
+"""Digest every file the command line and library runs write, to show that a refactor changed no output.
 
 Usage: python tools/output_digests.py OUTDIR
 
@@ -13,6 +13,13 @@ checkout, with OUTDIR as the working directory:
   ``run-experiment --top 4 --plot-data`` with and without
   ``--with-status``, ``select --top 4 --plot-data`` with and without
   ``--with-status``, ``fit``, and ``evaluate`` of that fit.
+
+In the library, ``run_experiment(simulate(SimConfig(seed=0,
+n_subjects=n)), top_m=3, include_status_ranking=True)`` writes
+``library/run-experiment-n{n}.json`` for n = 500, 3000 and 60,000: an
+in-memory dataset, which no command passes, whose kNN searches run in the
+calling thread, side by side in the job pool and, at 60,000 rows on more
+than one CPU, over the block pool, which no command above reaches.
 
 Each command's stdout, stderr and exit code go to a ``.log`` file beside
 its outputs.  Then ``created_at`` is dropped from every JSON document and
@@ -35,6 +42,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import cesurv  # noqa: E402
 from cesurv.cli import main  # noqa: E402
+from cesurv.experiment import run_experiment  # noqa: E402
+from cesurv.survsim import SimConfig, simulate  # noqa: E402
+
+LIBRARY_ROWS = (500, 3000, 60_000)
 
 SOURCES = {
     "simulation": ["--sim-config", "sim_config.json"],
@@ -64,7 +75,7 @@ def commands():
 
 
 def run_all(outdir: Path) -> None:
-    for sub in ("reproduce-paper", "simulate", "run-experiment", "select", "fit", "evaluate"):
+    for sub in ("reproduce-paper", "simulate", "run-experiment", "select", "fit", "evaluate", "library"):
         (outdir / sub).mkdir(parents=True, exist_ok=True)
     (outdir / "sim_config.json").write_text(json.dumps({"n_subjects": 300, "seed": 0}) + "\n")
     cwd = os.getcwd()
@@ -75,6 +86,9 @@ def run_all(outdir: Path) -> None:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
             Path(f"{log}.log").write_text(f"{out.getvalue()}--- stderr\n{err.getvalue()}--- exit {code}\n")
+        for n in LIBRARY_ROWS:
+            report = run_experiment(simulate(SimConfig(seed=0, n_subjects=n)), top_m=3, include_status_ranking=True)
+            Path(f"library/run-experiment-n{n}.json").write_text(report.to_json())
     finally:
         os.chdir(cwd)
 
