@@ -15,7 +15,7 @@ from pathlib import Path
 from . import __version__
 from .aft import AFTModel, fit
 from .copula_entropy import EstimatorConfig
-from .dataio import DatasetSpec, bundled_dataset_spec, save_dataset
+from .dataio import BUNDLED_DATASETS, DatasetSpec, bundled_dataset_spec, save_dataset
 from .errors import CesurvError, InvalidInputError, NumericalError
 from .experiment import (dataset_from_source, evaluate, run_experiment, write_performance_table,
                          write_ranking_table)
@@ -39,7 +39,7 @@ def _add_dataset_flags(p):
     p.add_argument("--event-value", help="status value meaning an event in a --data file (default 1)")
     p.add_argument("--covariates", help="comma-separated covariates of a --data file (default: every "
                    "remaining numeric column); for fit, the model's covariates")
-    p.add_argument("--bundled", choices=("cancer", "veteran"),
+    p.add_argument("--bundled", choices=BUNDLED_DATASETS,
                    help="use a bundled benchmark dataset instead of --data")
     p.add_argument("--dataset-spec", help="JSON file with DatasetSpec fields")
     p.add_argument("--sim-config", help="JSON file with simulation settings")
@@ -160,11 +160,8 @@ def _cmd_reproduce_paper(args):
     cfg = _estimator_cfg(args)
     outdir = Path(args.out or "paper_outputs")
     outdir.mkdir(parents=True, exist_ok=True)
-    runs = [
-        ("simulation", SimConfig(seed=args.seed), dict(include_status_ranking=True)),
-        ("cancer", bundled_dataset_spec("cancer"), {}),
-        ("veteran", bundled_dataset_spec("veteran"), {}),
-    ]
+    runs = [("simulation", SimConfig(seed=args.seed), dict(include_status_ranking=True)),
+            *((name, bundled_dataset_spec(name), {}) for name in BUNDLED_DATASETS)]
     for name, source, extra in runs:
         report = run_experiment(source, estimator_cfg=cfg, top_m=4, **extra)
         (outdir / f"{name}_report.json").write_text(report.to_json(), encoding="utf-8")

@@ -47,21 +47,22 @@ try:
 except AttributeError:  # platforms without CPU affinity
     _CPUS = os.cpu_count() or 1
 # Whole kNN jobs run side by side, one thread each, from this many rows.
-# Against one job at a time (2 CPUs, both rankings of five covariates,
-# medians of interleaved runs), they lose at 300 rows (3.9 vs 3.5 ms) and
-# win at 600 (5.6 vs 6.4 ms), 1000 (8.0 vs 10.3 ms), 2500 (17.1 vs 25.5
-# ms) and 10^4 rows (65 vs 73 ms).  600 rows lost in an earlier run, and
-# while other processes hold the second CPU the jobs lose a few percent
-# at 1000 rows, hence the margin.
+# Against one job at a time (2 CPUs, both rankings of five simulated
+# covariates, medians of interleaved runs), they lose at 300 rows (4.9-5.4
+# vs 4.4 ms), split at 600 (8.9-9.4 vs 8.7-11.1 ms) and win at 1000
+# (10.7-11.1 vs 13.1-13.2 ms), 2500 (23-24 vs 33-34 ms) and 10^4 rows (79-85
+# vs 143-164 ms).  On the bundled tables (137 and 167 rows) their rankings
+# without status take 5.1-6.3 ms in the pool against 3.9-4.1 ms serially.
 _JOB_MIN_ROWS = 1000
 # A kNN search of this many rows or more runs alone, its leaf-order blocks
 # spread over _CPUS pool threads; a smaller one runs its blocks in the
-# calling thread, whatever the CPU count.  Splitting one search gains only
-# 1.33x on 2 CPUs at 10^4 rows, where two whole searches at once gain
-# 2.03x, but 1.9x at 5*10^4 rows; above that, the trees of jobs in flight
-# and the pool threads' malloc arenas add up (a pool over the covariates
-# raised peak RSS 12% at 10^5 rows).  Measured on 2 CPUs only; with more
-# CPUs, more jobs run at once.
+# calling thread, whatever the CPU count.  Against whole searches side by
+# side (2 CPUs, both rankings of five simulated covariates, one process a
+# run, medians of three), the split searches take as long at 2*10^4 rows
+# (0.18 s) and about 10% longer above (0.54 vs 0.49 s at 5*10^4 rows, 1.06
+# vs 0.94 s at 10^5), but the trees of jobs in flight add up: the ranking
+# raises peak RSS by 3 against 10 MB at 5*10^4 rows and by 6 against 18 MB
+# at 10^5.  Measured on 2 CPUs only; with more CPUs, more jobs run at once.
 _JOB_MAX_ROWS = 50_000
 
 

@@ -166,34 +166,6 @@ class _Sha256Reader(io.RawIOBase):
         return n
 
 
-def _missing_mask(tokens) -> np.ndarray:
-    """True where a token is missing."""
-    return np.fromiter(map(_MISSING_TOKENS.__contains__, tokens), dtype=bool, count=len(tokens))
-
-
-def _parse_block(raw):
-    """One block of a column's raw tokens as (float64 values, missing mask).
-
-    Values are NaN where a token is missing; None is returned when a
-    present token is not a number.  ``float`` strips a subset of what
-    ``str.strip`` strips, so a raw token it accepts has the value of the
-    stripped token; only a block with a token it rejects is stripped and
-    screened for missing tokens.
-    """
-    try:
-        return np.fromiter(map(float, raw), dtype=float, count=len(raw)), np.zeros(len(raw), dtype=bool)
-    except ValueError:
-        pass
-    tokens = list(map(str.strip, raw))
-    mask = _missing_mask(tokens)
-    values = np.full(len(tokens), np.nan)
-    try:
-        values[~mask] = np.fromiter(map(float, itertools.compress(tokens, (~mask).tolist())), dtype=float)
-    except ValueError:
-        return None
-    return values, mask
-
-
 class _Column:
     """One column of a file, kept block by block in the form a spec can use.
 
@@ -213,21 +185,41 @@ class _Column:
         self.masks, self.tokens = [], []
 
     def add(self, raw):
-        """Keep one block of raw tokens; in number mode, return its float64 values."""
+        """Keep one block of raw tokens; in number mode, return its float64 values.
+
+        ``float`` strips a subset of what ``str.strip`` strips, so a raw
+        token it accepts has the value of the stripped token: a number block
+        whose raw tokens all parse is kept as it is.  Any other block is
+        stripped and screened for missing tokens once; a number column then
+        parses its present tokens (NaN where missing) and, when one is not a
+        number, keeps the same tokens and mask in its ``fallback`` mode.
+        """
+        if self.mode == _SKIP:
+            return None
         if self.mode == _NUMBER:
-            parsed = _parse_block(raw)
-            if parsed is not None:
-                self.masks.append(parsed[1])
-                return parsed[0]
-            self.late = self.fallback == _TOKENS and bool(self.masks)
-            self.mode = _SKIP if self.late else self.fallback
-            if self.mode != _MASK:
-                self.masks = []
-        if self.mode != _SKIP:
-            tokens = list(map(str.strip, raw))
-            self.masks.append(_missing_mask(tokens))
-            if self.mode == _TOKENS:
-                self.tokens.extend(tokens)
+            try:
+                values = np.fromiter(map(float, raw), dtype=float, count=len(raw))
+                self.masks.append(np.zeros(len(raw), dtype=bool))
+                return values
+            except ValueError:
+                pass
+        tokens = list(map(str.strip, raw))
+        mask = np.fromiter(map(_MISSING_TOKENS.__contains__, tokens), dtype=bool, count=len(tokens))
+        if self.mode == _NUMBER:
+            values = np.full(len(tokens), np.nan)
+            try:
+                values[~mask] = np.fromiter(map(float, itertools.compress(tokens, (~mask).tolist())), dtype=float)
+                self.masks.append(mask)
+                return values
+            except ValueError:
+                self.late = self.fallback == _TOKENS and bool(self.masks)
+                self.mode = _SKIP if self.late else self.fallback
+                if self.mode == _SKIP:
+                    self.masks = []
+                    return None
+        self.masks.append(mask)
+        if self.mode == _TOKENS:
+            self.tokens.extend(tokens)
         return None
 
     def finish(self) -> None:

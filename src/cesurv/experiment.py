@@ -102,7 +102,7 @@ def _stage(name):
 
 def dataset_from_source(source) -> SurvivalDataset:
     """Simulate a SimConfig, load a DatasetSpec or pass a SurvivalDataset through."""
-    return _resolve(source)[0]
+    return source if isinstance(source, SurvivalDataset) else _resolve(source)[0]
 
 
 def _resolve(source) -> tuple:

@@ -22,7 +22,10 @@ def _real(name, value) -> float:
     """``value`` as a float; InvalidInputError naming ``name`` unless it is a number other than nan."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or value != value:
         raise InvalidInputError(f"{name} must be a number other than nan, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int or Fraction beyond the float range
+        raise InvalidInputError(f"{name} must be a number in the float range, got one too large") from None
 
 
 @dataclass(frozen=True)
@@ -46,9 +49,27 @@ class SimConfig:
     def __post_init__(self):
         for name in ("max_follow_up", "event_shape", "event_log_scale", "censor_shape", "censor_log_scale"):
             object.__setattr__(self, name, _real(name, getattr(self, name)))
-        object.__setattr__(self, "coefficients", tuple(_real("coefficients", b) for b in self.coefficients))
+        try:
+            coefficients = tuple(self.coefficients)
+        except TypeError:
+            raise InvalidInputError(f"coefficients must be a sequence of numbers, got {self.coefficients!r}") from None
+        try:
+            params = [(m, v) for m, v in self.covariate_params]
+        except (TypeError, ValueError):
+            raise InvalidInputError(
+                f"covariate_params must be a sequence of (mean, variance) pairs, got {self.covariate_params!r}"
+            ) from None
+        object.__setattr__(self, "coefficients", tuple(_real("coefficients", b) for b in coefficients))
         object.__setattr__(self, "covariate_params", tuple(
-            (_real("covariate_params", m), _real("covariate_params", v)) for m, v in self.covariate_params))
+            (_real("covariate_params", m), _real("covariate_params", v)) for m, v in params))
+        # An infinite follow-up cap or censoring scale means none; any other
+        # infinity makes times of 0 or inf.
+        for name, values in (("event_log_scale", [self.event_log_scale]), ("coefficients", self.coefficients),
+                             ("covariate_params", np.ravel(self.covariate_params))):
+            if not np.isfinite(values).all():
+                raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if self.censor_log_scale == -np.inf:
+            raise InvalidInputError("censor_log_scale must be finite or +inf, got -inf")
         if not _is_integer(self.n_subjects):
             raise InvalidInputError(f"n_subjects must be an integer, got {self.n_subjects!r}")
         if self.n_subjects < 1:

@@ -429,6 +429,13 @@ class TestValueTypes:
         assert run("select", "--sim-config", str(cfg)) == 2
         assert "event_shape must be a number other than nan, got nan" in capsys.readouterr().err
 
+    def test_sim_config_integer_beyond_float_range_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "big.json"
+        cfg.write_text('{"max_follow_up": 1' + "0" * 400 + "}")
+        assert run("simulate", "--sim-config", str(cfg), "--out", str(tmp_path / "o.csv")) == 2
+        assert "max_follow_up must be a number in the float range" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_model_coefficient_not_a_number_exit_2(self, tmp_path, capsys):
         path = tmp_path / "model.json"
         assert run("fit", "--bundled", "veteran", "--covariates", "karno", "--out", str(path)) == 0

@@ -176,6 +176,16 @@ class TestEvaluate:
         with pytest.raises(InvalidInputError, match=r"covariates not in dataset: \['x2'\]"):
             evaluate(model, ds, "m")
 
+    def test_in_memory_table_passes_through_unhashed(self, monkeypatch):
+        from cesurv import experiment
+
+        def no_hash(*args):
+            raise AssertionError("an in-memory table was hashed")
+
+        ds = simulate(SimConfig(n_subjects=50, seed=1))
+        monkeypatch.setattr(experiment.hashlib, "sha256", no_hash)
+        assert experiment.dataset_from_source(ds) is ds
+
     def test_source_resolver_is_untagged_and_run_experiment_tags(self, tmp_path):
         from cesurv.experiment import dataset_from_source
 

@@ -38,7 +38,20 @@ class TestSimConfig:
     @pytest.mark.parametrize("kwargs, shown", [
         (dict(max_follow_up=0.0), "max_follow_up must be > 0"),
         (dict(coefficients=(1.0,), covariate_params=((0.0, -0.5),)), "covariate variances must be >= 0"),
-    ], ids=["zero_follow_up", "negative_variance"])
+        (dict(max_follow_up=10**400), "max_follow_up must be a number in the float range"),
+        (dict(coefficients=(1.0, 1.0, -10**400, 1.0, 1.0)), "coefficients must be a number in the float range"),
+        (dict(coefficients=1.0), "coefficients must be a sequence of numbers, got 1.0"),
+        (dict(covariate_params=((0.0, 1.0, 2.0),) * 5), "covariate_params must be a sequence of"),
+        (dict(covariate_params=(1.0,) * 5), "covariate_params must be a sequence of"),
+        (dict(event_log_scale=float("inf")), "event_log_scale must be finite, got inf"),
+        (dict(event_log_scale=-float("inf")), "event_log_scale must be finite, got -inf"),
+        (dict(coefficients=(1.0, np.inf, 0.0, 1.0, 1.0)), "coefficients must be finite"),
+        (dict(covariate_params=((-np.inf, 1.0),) * 5), "covariate_params must be finite"),
+        (dict(covariate_params=((0.0, np.inf),) * 5), "covariate_params must be finite"),
+        (dict(censor_log_scale=-float("inf")), "censor_log_scale must be finite or [+]inf, got -inf"),
+    ], ids=["zero_follow_up", "negative_variance", "huge_follow_up", "huge_coefficient", "scalar_coefficients",
+            "triples", "scalar_pairs", "inf_event_scale", "minus_inf_event_scale", "inf_coefficient", "inf_mean",
+            "inf_variance", "minus_inf_censor_scale"])
     def test_rejects_out_of_range_setting(self, kwargs, shown):
         with pytest.raises(InvalidInputError, match=shown):
             SimConfig(**kwargs)
@@ -60,6 +73,9 @@ class TestSimConfig:
     def test_infinite_follow_up_is_valid(self):
         ds = simulate(SimConfig(n_subjects=50, max_follow_up=float("inf")))
         assert np.isfinite(ds.time).all()
+        # No cap and no censoring: every time is an event time.
+        ds = simulate(SimConfig(n_subjects=50, max_follow_up=float("inf"), censor_log_scale=float("inf")))
+        assert np.isfinite(ds.time).all() and ds.status.all()
 
     @pytest.mark.parametrize("name", ["max_follow_up", "event_shape", "event_log_scale",
                                       "censor_shape", "censor_log_scale"])

@@ -17,10 +17,10 @@ def test_output_digests_lists_every_normalized_output(tmp_path):
     assert paths == sorted(paths)
     assert set(paths) == {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
     # 10 reproduce-paper runs of 9 files and a log each, a simulate run (a
-    # file and a log), 4 sources of 2 run-experiment runs (3 files), 2
+    # file and a log), 6 sources of 2 run-experiment runs (3 files), 2
     # selects (2 files), a fit and an evaluate (1 file), each with a log,
-    # the simulation settings, and 3 library reports.
-    assert len(paths) == 10 * 10 + 2 + 4 * (2 * 4 + 2 * 3 + 2 * 2) + 1 + 3
+    # the simulation settings, the text table and 3 library reports.
+    assert len(paths) == 10 * 10 + 2 + 6 * (2 * 4 + 2 * 3 + 2 * 2) + 1 + 1 + 3
     package_dir = str(Path(cesurv.__file__).resolve().parent)
     for p in out.rglob("*"):
         if p.is_file():

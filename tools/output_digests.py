@@ -9,10 +9,21 @@ checkout, with OUTDIR as the working directory:
 - ``simulate --n 3000 --seed 0``, which writes ``simulate/data.csv``: a
   numeric file of three loader blocks whose rows are all kept;
 - on a 300-row simulation (``--sim-config``), ``--bundled cancer``,
-  ``--bundled veteran`` and ``--data simulate/data.csv``:
+  ``--bundled veteran``, ``--data simulate/data.csv`` and, with
+  ``--event-value dead``, ``--data text/data.csv`` with its default
+  covariates and with ``--covariates x1,x2,grade,site``:
   ``run-experiment --top 4 --plot-data`` with and without
   ``--with-status``, ``select --top 4 --plot-data`` with and without
   ``--with-status``, ``fit``, and ``evaluate`` of that fit.
+
+``text/data.csv`` is written by this script (``write_text_table``): 2000
+records whose status is ``dead`` or ``alive``, whose ``x1`` is ``NA`` in
+every 37th record and space-padded elsewhere, and whose ``grade`` is a
+number for the first 1500 records (more than one loader block) and text
+after them, beside a text ``site``.  Its loads take the paths no other
+source reaches: a number block with missing tokens, a number column that
+falls back to being left out, one read again as text in a second pass,
+and a text status.
 
 In the library, ``run_experiment(simulate(SimConfig(seed=0,
 n_subjects=n)), top_m=3, include_status_ranking=True)`` writes
@@ -52,7 +63,21 @@ SOURCES = {
     "cancer": ["--bundled", "cancer"],
     "veteran": ["--bundled", "veteran"],
     "data": ["--data", "simulate/data.csv"],
+    "text": ["--data", "text/data.csv", "--event-value", "dead"],
+    "text-covariates": ["--data", "text/data.csv", "--event-value", "dead", "--covariates", "x1,x2,grade,site"],
 }
+
+
+def write_text_table(path) -> None:
+    """The 2000-record ``--data`` file of text values described above, from a seed-1 simulation."""
+    ds = simulate(SimConfig(seed=1, n_subjects=2000))
+    lines = ["time,status,x1,x2,x3,x4,grade,site"]
+    for i, (x, t, s) in enumerate(zip(ds.covariates.tolist(), ds.time.tolist(), ds.status.tolist())):
+        level = (x[4] > 0.0) + (x[4] > 1.0)
+        grade = str(level + 1) if i < 1500 else ("low", "mid", "high")[level]
+        x1 = "NA" if i % 37 == 0 else f" {x[0]!r} "
+        lines.append(f"{t!r},{('alive', 'dead')[s]},{x1},{x[1]!r},{x[2]!r},{x[3]!r},{grade},site{i % 3}")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def commands():
@@ -75,9 +100,10 @@ def commands():
 
 
 def run_all(outdir: Path) -> None:
-    for sub in ("reproduce-paper", "simulate", "run-experiment", "select", "fit", "evaluate", "library"):
+    for sub in ("reproduce-paper", "simulate", "text", "run-experiment", "select", "fit", "evaluate", "library"):
         (outdir / sub).mkdir(parents=True, exist_ok=True)
     (outdir / "sim_config.json").write_text(json.dumps({"n_subjects": 300, "seed": 0}) + "\n")
+    write_text_table(outdir / "text" / "data.csv")
     cwd = os.getcwd()
     os.chdir(outdir)
     try:
